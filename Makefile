@@ -15,16 +15,18 @@ GO ?= go
 SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 
 # The tracked hot paths: the shared event-queue heap, the scheduling
-# subsystem's submit/dispatch/complete cycle, the end-to-end multiclient
-# simulation round (the N-scaling family N=64…4096 over the sharded
-# core, plus oracle/learned/drift variants and the traced and
-# disabled-tracer variants that hold the observability layer's overhead
-# — off must stay within noise of the untraced baseline), the learned
-# predictors' observe/predict cycle, and the multi-replica fleet round
-# (routing + failure injection overhead on top of the single-server
-# round). -benchmem feeds the allocation gate: cmd/benchjson fails any
-# tracked benchmark whose allocs/op grows past its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound)$$
+# subsystem's submit/dispatch/complete cycle (and completion alone at
+# 64…16384 busy slots, whose cost must not grow with concurrency), the
+# end-to-end multiclient simulation round (the N-scaling family
+# N=64…4096 over the sharded core, plus oracle/learned/drift variants and
+# the traced and disabled-tracer variants that hold the observability
+# layer's overhead — off must stay within noise of the untraced
+# baseline), the learned predictors' observe/predict cycle, and the
+# multi-replica fleet round (routing + failure injection overhead on top
+# of the single-server round). -benchmem feeds the allocation gate:
+# cmd/benchjson fails any tracked benchmark whose allocs/op grows past
+# its baseline.
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound)$$
 BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 

@@ -144,9 +144,13 @@ func (p *priority) Promote(client, page int) bool {
 }
 
 // requeueFront takes back a preempted speculative transfer at the head of
-// the speculative queue, where it conceptually came from.
+// the speculative queue, where it conceptually came from. The queue shifts
+// in place, so a preemption allocates only when the queue outgrows its
+// capacity.
 func (p *priority) requeueFront(r *Request) {
-	p.spec = append([]*Request{r}, p.spec...)
+	p.spec = append(p.spec, nil)
+	copy(p.spec[1:], p.spec)
+	p.spec[0] = r
 }
 
 func (p *priority) Len() int { return len(p.demand) + len(p.spec) }

@@ -199,12 +199,19 @@ type requeuer interface {
 // (eventq.FreeList): each one is released back exactly once, when its
 // completion event fires — normally or as a preemption/failure orphan —
 // so a pooled node is never reused while a clock event still holds it.
+//
+// A transfer is also its own node in the scheduler's in-flight list:
+// prev and next link it while it occupies a slot and are nil from the
+// moment it leaves (completion, preemption or Fail), before it reaches
+// the pool.
 type transfer struct {
 	req       *Request
 	service   float64 // actual service time (after the ServiceTime hook)
 	startedAt float64
 	waited    float64 // queueing delay reported to Done
 	cancelled bool    // preempted; the pending completion event is orphaned
+
+	prev, next *transfer // in-flight list neighbours, toward head and tail
 
 	// fire is the completion callback, allocated once per pooled node and
 	// reused across recycles — the per-transfer closure that used to be
@@ -214,6 +221,13 @@ type transfer struct {
 
 // Scheduler owns the server's transfer slots and delegates every dequeue
 // and placement decision to its Discipline and AdmissionController.
+//
+// The occupied slots form an intrusive doubly-linked list of transfers in
+// start order: a start appends at the tail, so startedAt never decreases
+// from head to tail, and a completion or preemption unlinks its node in
+// O(1), so the list never holds a cancelled transfer. Readers that depend
+// on order walk it: preemption from the tail, Promote and Fail from the
+// head.
 type Scheduler struct {
 	clock Clock
 	cfg   Config
@@ -242,7 +256,8 @@ type Scheduler struct {
 	Tracer obs.Tracer
 
 	nextSeq      int64
-	inFlight     []*transfer
+	head, tail   *transfer // in-flight list, oldest start first
+	inFlight     int       // occupied slots: the in-flight list's length
 	deferred     []*Request
 	queuedDemand int
 
@@ -373,7 +388,7 @@ func (s *Scheduler) Submit(r Request) bool {
 // the backlog (by submission or by promotion of a queued prefetch) while
 // every slot is busy.
 func (s *Scheduler) demandArrived() {
-	if s.cfg.Preempt && len(s.inFlight) == s.cfg.Concurrency {
+	if s.cfg.Preempt && s.inFlight == s.cfg.Concurrency {
 		s.preemptSpeculative()
 	}
 }
@@ -393,8 +408,8 @@ func (s *Scheduler) Promote(client, page int) bool {
 		s.dispatch()      // a reordering discipline may now prefer this request
 		return true
 	}
-	for _, tr := range s.inFlight {
-		if !tr.cancelled && !tr.req.Demand && tr.req.Client == client && tr.req.Page == page {
+	for tr := s.head; tr != nil; tr = tr.next {
+		if !tr.req.Demand && tr.req.Client == client && tr.req.Page == page {
 			tr.req.Demand = true
 			s.emitPromote(client, page, "inflight")
 			return true
@@ -454,7 +469,7 @@ func (s *Scheduler) push(req *Request) {
 		ev.Demand = req.Demand
 		ev.Service = req.Service
 		ev.Queued = s.disc.Len()
-		ev.InFlight = len(s.inFlight)
+		ev.InFlight = s.inFlight
 		s.Tracer.Emit(ev)
 	}
 }
@@ -474,26 +489,31 @@ func (s *Scheduler) emitVerdict(kind obs.Kind, req *Request, util float64) {
 // speculative transfer, if any: its elapsed service counts as busy time
 // (the bandwidth really was spent), the remainder is discarded, and the
 // request restarts from scratch at the head of its class queue.
+//
+// The victim is the argmax of (startedAt, seq). The walk goes back from
+// the tail and stops at the first node that started before the best
+// candidate. Among same-instant starts it still compares seq: a restarted
+// request keeps its older seq, and a discipline without requeueFront
+// restarts it behind younger requests, so list order within one instant
+// need not be seq order.
 func (s *Scheduler) preemptSpeculative() {
-	victim := -1
-	for i, tr := range s.inFlight {
-		if tr.cancelled || tr.req.Demand {
-			continue
+	var tr *transfer
+	for cur := s.tail; cur != nil; cur = cur.prev {
+		if tr != nil && cur.startedAt < tr.startedAt {
+			break
 		}
-		if victim < 0 || tr.startedAt > s.inFlight[victim].startedAt ||
-			(tr.startedAt == s.inFlight[victim].startedAt && tr.req.seq > s.inFlight[victim].req.seq) {
-			victim = i
+		if !cur.req.Demand && (tr == nil || cur.req.seq > tr.req.seq) {
+			tr = cur
 		}
 	}
-	if victim < 0 {
+	if tr == nil {
 		return
 	}
 	now := s.clock.Now()
-	tr := s.inFlight[victim]
 	tr.cancelled = true
-	s.removeInFlight(victim)
+	s.unlink(tr)
 	s.busyTime += now - tr.startedAt
-	s.util.transition(now, len(s.inFlight))
+	s.util.transition(now, s.inFlight)
 	s.preemptions++
 	if s.Tracer != nil {
 		ev := obs.Ev(now, obs.KindPreempt, tr.req.Client)
@@ -514,7 +534,7 @@ func (s *Scheduler) dispatch() {
 	if s.failed {
 		return // stale wake-ups after Fail must not start abandoned work
 	}
-	for len(s.inFlight) < s.cfg.Concurrency {
+	for s.inFlight < s.cfg.Concurrency {
 		req, ok := s.disc.Pop(s.clock.Now())
 		if !ok {
 			break
@@ -531,7 +551,7 @@ func (s *Scheduler) dispatch() {
 // time. Work-conserving disciplines never need one (ReadyAt is always
 // now); shaping uses it to resume when a token bucket refills.
 func (s *Scheduler) scheduleWake() {
-	if len(s.inFlight) >= s.cfg.Concurrency {
+	if s.inFlight >= s.cfg.Concurrency {
 		return // a completion will re-dispatch
 	}
 	now := s.clock.Now()
@@ -580,8 +600,8 @@ func (s *Scheduler) start(req *Request) {
 		trc := tr
 		tr.fire = func() { s.complete(trc) }
 	}
-	s.inFlight = append(s.inFlight, tr)
-	s.util.transition(now, len(s.inFlight))
+	s.link(tr)
+	s.util.transition(now, s.inFlight)
 	s.clock.After(service, tr.fire)
 }
 
@@ -592,26 +612,52 @@ func (s *Scheduler) release(req *Request) {
 	s.reqPool.Put(req)
 }
 
+// link appends tr to the tail of the in-flight list.
+func (s *Scheduler) link(tr *transfer) {
+	tr.prev, tr.next = s.tail, nil
+	if s.tail != nil {
+		s.tail.next = tr
+	} else {
+		s.head = tr
+	}
+	s.tail = tr
+	s.inFlight++
+}
+
+// unlink removes tr from the in-flight list, which stays in start order,
+// and clears tr's links.
+func (s *Scheduler) unlink(tr *transfer) {
+	if tr.prev != nil {
+		tr.prev.next = tr.next
+	} else {
+		s.head = tr.next
+	}
+	if tr.next != nil {
+		tr.next.prev = tr.prev
+	} else {
+		s.tail = tr.prev
+	}
+	tr.prev, tr.next = nil, nil
+	s.inFlight--
+}
+
 // complete finishes a transfer, re-examines deferred speculative work, and
 // refills the freed slot. It is the single point at which pooled transfer
 // nodes are recycled: every started transfer's completion event fires
 // exactly once, cancelled (preempted or failed — whose request is either
-// requeued or abandoned, never recycled here) or not.
+// requeued or abandoned, never recycled here) or not. A cancelled node
+// has already left the in-flight list; any other is still linked there,
+// and unlinking it is O(1).
 func (s *Scheduler) complete(tr *transfer) {
 	if tr.cancelled {
 		tr.req = nil
 		s.trPool.Put(tr)
 		return // orphaned by a preemption
 	}
-	for i, cur := range s.inFlight {
-		if cur == tr {
-			s.removeInFlight(i)
-			break
-		}
-	}
+	s.unlink(tr)
 	now := s.clock.Now()
 	s.busyTime += tr.service
-	s.util.transition(now, len(s.inFlight))
+	s.util.transition(now, s.inFlight)
 	s.completed++
 	if !tr.req.Demand {
 		s.specCompleted++
@@ -625,14 +671,6 @@ func (s *Scheduler) complete(tr *transfer) {
 	}
 	s.dispatch()
 	s.release(req)
-}
-
-// removeInFlight drops index i preserving order (start-time order matters
-// for deterministic preemption victim selection).
-func (s *Scheduler) removeInFlight(i int) {
-	copy(s.inFlight[i:], s.inFlight[i+1:])
-	s.inFlight[len(s.inFlight)-1] = nil
-	s.inFlight = s.inFlight[:len(s.inFlight)-1]
 }
 
 // readmitDeferred re-offers deferred requests, oldest first, now that a
@@ -699,7 +737,7 @@ func (s *Scheduler) Snapshot(now float64) Feedback {
 		ev := obs.Ev(now, obs.KindQueueDepth, obs.ServerClient)
 		ev.Queued = s.disc.Len()
 		ev.QueuedDemand = s.queuedDemand
-		ev.InFlight = len(s.inFlight)
+		ev.InFlight = s.inFlight
 		ev.Util = s.util.estimate(now)
 		s.Tracer.Emit(ev)
 	}
@@ -716,7 +754,7 @@ func (s *Scheduler) Peek(now float64) Feedback {
 		Utilization:      s.util.estimate(now),
 		Queued:           s.disc.Len(),
 		QueuedDemand:     s.queuedDemand,
-		InFlight:         len(s.inFlight),
+		InFlight:         s.inFlight,
 		DeferredNow:      len(s.deferred),
 		DroppedTotal:     s.dropped,
 		DeferredTotal:    s.deferredTotal,
@@ -739,16 +777,17 @@ func (s *Scheduler) Fail() int {
 	}
 	s.failed = true
 	now := s.clock.Now()
-	lost := 0
-	for i, tr := range s.inFlight {
-		if !tr.cancelled {
-			tr.cancelled = true
-			s.busyTime += now - tr.startedAt
-			lost++
-		}
-		s.inFlight[i] = nil
+	lost := s.inFlight
+	// Head first: the busy-time float sum must keep start order, or
+	// failover runs stop replaying bit-for-bit.
+	for tr := s.head; tr != nil; {
+		next := tr.next
+		tr.cancelled = true
+		s.busyTime += now - tr.startedAt
+		tr.prev, tr.next = nil, nil
+		tr = next
 	}
-	s.inFlight = s.inFlight[:0]
+	s.head, s.tail, s.inFlight = nil, nil, 0
 	s.util.transition(now, 0)
 	// There is no per-request drain API on Discipline; abandon the whole
 	// backlog by swapping in an empty queue, so Queued() reads 0 and the
@@ -774,7 +813,7 @@ func (s *Scheduler) Queued() int { return s.disc.Len() }
 func (s *Scheduler) QueuedDemand() int { return s.queuedDemand }
 
 // InFlight returns the number of occupied transfer slots.
-func (s *Scheduler) InFlight() int { return len(s.inFlight) }
+func (s *Scheduler) InFlight() int { return s.inFlight }
 
 // DeferredNow returns the number of currently deferred requests.
 func (s *Scheduler) DeferredNow() int { return len(s.deferred) }

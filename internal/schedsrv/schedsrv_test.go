@@ -452,31 +452,41 @@ func fingerprint(t *testing.T, cfg Config, arrivals []arrival) string {
 	return fmt.Sprintf("%s|busy=%.9f|n=%d|pre=%d|drop=%d", out, s.BusyTime(), s.Completed(), s.Preemptions(), s.Dropped())
 }
 
+// replayConfigs are the discipline and admission modes the replay tests
+// run over replayLoad.
+var replayConfigs = []Config{
+	{Concurrency: 2, Kind: KindFIFO},
+	{Concurrency: 2, Kind: KindPriority},
+	{Concurrency: 2, Kind: KindPriority, Preempt: true},
+	{Concurrency: 2, Kind: KindWFQ, DemandWeight: 4, SpecWeight: 1},
+	{Concurrency: 2, Kind: KindShaped, Rate: 0.8, Burst: 4},
+	{Concurrency: 2, Kind: KindFIFO, AdmitUtil: 0.7, AdmitWindow: 20},
+	{Concurrency: 2, Kind: KindFIFO, AdmitUtil: 0.7, AdmitWindow: 20, AdmitDefer: true},
+}
+
+func replayLoad() []arrival { return genArrivals(77, 5, 60) }
+
+// replayName names a replay config for its subtest.
+func replayName(cfg Config) string {
+	name := string(cfg.Kind)
+	if cfg.Preempt {
+		name += "+preempt"
+	}
+	if cfg.AdmitUtil > 0 {
+		name += "+admit"
+		if cfg.AdmitDefer {
+			name += "-defer"
+		}
+	}
+	return name
+}
+
 // TestDeterministicReplay: every discipline (and admission mode) replays
 // bit-for-bit — the identical completion trace — on the identical load.
 func TestDeterministicReplay(t *testing.T) {
-	cfgs := []Config{
-		{Concurrency: 2, Kind: KindFIFO},
-		{Concurrency: 2, Kind: KindPriority},
-		{Concurrency: 2, Kind: KindPriority, Preempt: true},
-		{Concurrency: 2, Kind: KindWFQ, DemandWeight: 4, SpecWeight: 1},
-		{Concurrency: 2, Kind: KindShaped, Rate: 0.8, Burst: 4},
-		{Concurrency: 2, Kind: KindFIFO, AdmitUtil: 0.7, AdmitWindow: 20},
-		{Concurrency: 2, Kind: KindFIFO, AdmitUtil: 0.7, AdmitWindow: 20, AdmitDefer: true},
-	}
-	load := genArrivals(77, 5, 60)
-	for _, cfg := range cfgs {
-		name := string(cfg.Kind)
-		if cfg.Preempt {
-			name += "+preempt"
-		}
-		if cfg.AdmitUtil > 0 {
-			name += "+admit"
-			if cfg.AdmitDefer {
-				name += "-defer"
-			}
-		}
-		t.Run(name, func(t *testing.T) {
+	load := replayLoad()
+	for _, cfg := range replayConfigs {
+		t.Run(replayName(cfg), func(t *testing.T) {
 			a := fingerprint(t, cfg, load)
 			b := fingerprint(t, cfg, load)
 			if a != b {
@@ -821,6 +831,53 @@ func BenchmarkSchedulerDequeue(b *testing.B) {
 				if s.Completed() != int64(len(load)) {
 					b.Fatalf("completed %d of %d", s.Completed(), len(load))
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkSchedulerComplete measures one transfer completion and the
+// start that refills its slot, with every slot busy and a backlog of a
+// quarter as many requests queued behind them: one op is one transfer.
+// Service times are random, so completions unlink nodes from anywhere in
+// the in-flight list; the cost must not grow linearly with Concurrency,
+// which BenchmarkSchedulerDequeue (2 slots) cannot show. Tracked by the
+// benchmark-regression gate (cmd/benchjson).
+func BenchmarkSchedulerComplete(b *testing.B) {
+	for _, conc := range []int{64, 4096, 16384} {
+		b.Run(fmt.Sprintf("conc=%d", conc), func(b *testing.B) {
+			var clock netsim.Clock
+			s, err := New(&clock, Config{Concurrency: conc})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := rng.New(uint64(conc))
+			page := 0
+			submit := func() {
+				page++
+				s.Submit(Request{Client: page % 1024, Page: page, Service: 0.5 + 4*r.Float64(), Demand: page%3 == 0})
+			}
+			done := 0
+			s.Done = func(*Request, float64, float64) {
+				done++
+				if done == b.N {
+					b.StopTimer() // the untimed drain follows
+				}
+				if done <= b.N {
+					submit() // keep every slot busy and the backlog full
+				}
+			}
+			for i := 0; i < conc+conc/4; i++ {
+				submit()
+			}
+			if s.InFlight() != conc || s.Queued() != conc/4 {
+				b.Fatalf("setup: %d in flight, %d queued", s.InFlight(), s.Queued())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			clock.Run()
+			if done != b.N+conc+conc/4 {
+				b.Fatalf("completed %d of %d", done, b.N+conc+conc/4)
 			}
 		})
 	}
