@@ -151,7 +151,6 @@ func run(args []string, out io.Writer) error {
 		serverCache = fs.Int("servercache", 0, "shared server cache slots, 0 = none (multiclient)")
 		rounds      = fs.Int("rounds", 300, "browsing rounds per client (multiclient)")
 		reps        = fs.Int("reps", 3, "seed replications per sweep point (multiclient)")
-		shards      = fs.Int("shards", 0, "parallel workload-precompute shards, 0 = one per CPU; results are bit-identical for every value (multiclient/fleet)")
 
 		discipline  = fs.String("discipline", "fifo", "server scheduling: fifo | priority | wfq | shaped, comma list or \"all\" to sweep (multiclient)")
 		preempt     = fs.Bool("preempt", false, "priority discipline: demands abort in-flight speculative transfers (multiclient)")
@@ -258,7 +257,6 @@ func run(args []string, out io.Writer) error {
 			serverCache:   *serverCache,
 			rounds:        *rounds,
 			reps:          *reps,
-			shards:        *shards,
 			discipline:    *discipline,
 			preempt:       *preempt,
 			weights:       *weights,
@@ -617,7 +615,6 @@ type mcOptions struct {
 	serverCache   int
 	rounds        int
 	reps          int
-	shards        int
 	discipline    string
 	preempt       bool
 	weights       string
@@ -807,7 +804,6 @@ func mcConfig(opt mcOptions) (cfg prefetch.MultiClientConfig, ns []int, kinds []
 	cfg.ServerConcurrency = opt.serverConc
 	cfg.ServerCacheSlots = opt.serverCache
 	cfg.Rounds = opt.rounds
-	cfg.Shards = opt.shards
 	cfg.Sched = prefetch.SchedConfig{
 		Kind:         kinds[0],
 		Preempt:      opt.preempt,
@@ -960,7 +956,11 @@ func runMultiClient(out io.Writer, opt mcOptions, tr obs.Tracer) error {
 		return nil
 	}
 
-	points, err := prefetch.SweepMultiClient(cfg, ns, reps, 0)
+	axis, err := prefetch.MultiClientClientsAxis(ns)
+	if err != nil {
+		return err
+	}
+	points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, axis)
 	if err != nil {
 		return err
 	}
@@ -998,7 +998,7 @@ func runDisciplineSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int,
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientDisciplines(cfg, kinds, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientDisciplineAxis(kinds))
 		if err != nil {
 			return err
 		}
@@ -1006,9 +1006,9 @@ func runDisciplineSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int,
 			n, ctlNote, cfg.ServerConcurrency, reps, cfg.Rounds)
 		fmt.Fprintf(out, "%-10s %10s %10s %12s %10s %8s %8s %10s\n",
 			"discipline", "demand T", "mean T", "queue wait", "spec/s", "drops", "preempt", "improve%")
-		for _, p := range points {
+		for i, p := range points {
 			fmt.Fprintf(out, "%-10s %10.4f %10.4f %12.4f %10.4f %8d %8d %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
+				kinds[i], p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
 				p.SpecThroughput.Mean(), p.PrefetchDropped, p.Preemptions,
 				100*p.Improvement.Mean())
 		}
@@ -1026,7 +1026,7 @@ func runControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int,
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientControllers(cfg, ctls, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientControllerAxis(ctls))
 		if err != nil {
 			return err
 		}
@@ -1038,9 +1038,9 @@ func runControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int,
 			n, disc, predNote, cfg.ServerConcurrency, reps, cfg.Rounds)
 		fmt.Fprintf(out, "%-15s %10s %10s %12s %8s %10s %8s %10s\n",
 			"controller", "demand T", "mean T", "queue wait", "mean λ", "spec/s", "drops", "improve%")
-		for _, p := range points {
+		for i, p := range points {
 			fmt.Fprintf(out, "%-15s %10.4f %10.4f %12.4f %8.3f %10.4f %8d %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
+				ctls[i], p.DemandAccess.Mean(), p.Access.Mean(), p.QueueWait.Mean(),
 				p.Lambda.Mean(), p.SpecThroughput.Mean(), p.PrefetchDropped,
 				100*p.Improvement.Mean())
 		}
@@ -1058,7 +1058,7 @@ func runPredictorSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, 
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientPredictors(cfg, preds, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, true, prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			return err
 		}
@@ -1070,9 +1070,9 @@ func runPredictorSweep(out io.Writer, cfg prefetch.MultiClientConfig, ns []int, 
 			n, disc, ctlNote, cfg.ServerConcurrency, reps, cfg.Rounds)
 		fmt.Fprintf(out, "%-10s %10s %10s %8s %8s %8s %10s %10s\n",
 			"predictor", "demand T", "mean T", "L1 err", "waste%", "hit%", "spec/s", "improve%")
-		for _, p := range points {
+		for i, p := range points {
 			fmt.Fprintf(out, "%-10s %10.4f %10.4f %8.3f %7.1f%% %7.1f%% %10.4f %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
+				preds[i], p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
 				100*p.WastedFraction.Mean(), 100*p.HitRatio.Mean(),
 				p.SpecThroughput.Mean(), 100*p.Improvement.Mean())
 		}
@@ -1092,7 +1092,10 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 			fmt.Fprintln(out)
 		}
 		cfg.Clients = n
-		points, err := prefetch.SweepMultiClientPredictorControllers(cfg, preds, ctls, reps, 0)
+		// Controller-major grid without a baseline leg: the controller
+		// comparison is relative, so the doubled cost would buy nothing.
+		points, err := prefetch.SweepMultiClientGrid(cfg, reps, 0, false,
+			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			return err
 		}
@@ -1107,14 +1110,15 @@ func runPredictorControllerSweep(out io.Writer, cfg prefetch.MultiClientConfig, 
 			fmt.Fprintf(out, "\ncontroller %s\n", ctl)
 			fmt.Fprintf(out, "%-12s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "mean λ", "L1 err", "waste%", "spec/s", "pareto")
-			for pi := range preds {
-				p := points[ci*len(preds)+pi]
+			row := points[ci*len(preds) : (ci+1)*len(preds)]
+			front := prefetch.MultiClientParetoFrontier(row)
+			for pi, p := range row {
 				mark := ""
-				if p.Pareto {
+				if front[pi] {
 					mark = "*"
 				}
 				fmt.Fprintf(out, "%-12s %10.4f %10.4f %8.3f %8.3f %7.1f%% %10.4f %7s\n",
-					p.Predictor, p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(),
+					preds[pi], p.DemandAccess.Mean(), p.Access.Mean(), p.Lambda.Mean(),
 					p.L1Error.Mean(), 100*p.WastedFraction.Mean(), p.SpecThroughput.Mean(), mark)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -141,17 +142,21 @@ func TestRunMultiClientDisciplineDeterminism(t *testing.T) {
 }
 
 func TestRunMultiClientShardsFlag(t *testing.T) {
-	// -shards is a parallelism hint: any value must print byte-identical
-	// output (shard 1 vs 7 vs auto), and a negative value is refused.
-	args := []string{"-mode", "multiclient", "-clients", "3", "-rounds", "25", "-seed", "9"}
-	want := runOut(t, append(args, "-shards", "1")...)
-	for _, shards := range []string{"0", "7"} {
-		if got := runOut(t, append(args, "-shards", shards)...); got != want {
-			t.Errorf("-shards %s output differs from -shards 1:\n%s\n---\n%s", shards, got, want)
+	// Phase A runs one shard worker per GOMAXPROCS (at most one per
+	// client): the worker count must never reach the output, and the
+	// retired -shards knob is refused as an unknown flag.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	args := []string{"-mode", "multiclient", "-clients", "7", "-rounds", "25", "-seed", "9", "-predictor", "ppm"}
+	runtime.GOMAXPROCS(1)
+	want := runOut(t, args...)
+	for _, procs := range []int{3, 7} {
+		runtime.GOMAXPROCS(procs)
+		if got := runOut(t, args...); got != want {
+			t.Errorf("GOMAXPROCS=%d output differs from GOMAXPROCS=1:\n%s\n---\n%s", procs, got, want)
 		}
 	}
-	if err := run(append(args, "-shards", "-2"), io.Discard); err == nil {
-		t.Error("negative -shards accepted")
+	if err := run(append(args, "-shards", "2"), io.Discard); err == nil {
+		t.Error("retired -shards flag accepted")
 	}
 }
 

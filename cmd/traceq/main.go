@@ -133,8 +133,8 @@ func trackNames(events []obs.Event) map[int]string {
 	return names
 }
 
-// clientLabel renders "client N" or "client N (name)".
-func clientLabel(id int, names map[int]string) string {
+// clientName renders "client N" or "client N (name)".
+func clientName(id int, names map[int]string) string {
 	if name := names[id]; name != "" {
 		return fmt.Sprintf("c%d %s", id, name)
 	}
@@ -300,7 +300,7 @@ func printRounds(out io.Writer, events []obs.Event) {
 		tot.viewing += s.viewing
 		tot.views += s.views
 		fmt.Fprintf(out, "%-24s %8d %10.4f %9.1f%% %10.4f\n",
-			clientLabel(id, names), s.rounds, s.access/float64(s.rounds),
+			clientName(id, names), s.rounds, s.access/float64(s.rounds),
 			100*float64(s.demand)/float64(s.rounds), s.viewing/float64(maxInt(s.views, 1)))
 	}
 	if tot.rounds > 0 {
@@ -380,7 +380,7 @@ func printLambda(out io.Writer, events []obs.Event) {
 			continue
 		}
 		fmt.Fprintf(out, "%-24s %8d %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-			clientLabel(id, names), s.n, s.first, s.last, s.min, s.max, s.sum/float64(s.n))
+			clientName(id, names), s.n, s.first, s.last, s.min, s.max, s.sum/float64(s.n))
 	}
 }
 
@@ -440,7 +440,7 @@ func printWasted(out io.Writer, events []obs.Event, top int) {
 			meanProb = s.wastedProb / float64(s.wasted)
 		}
 		fmt.Fprintf(out, "%-24s %d wasted / %d resolved (%.1f%%), mean cand prob %.3f\n",
-			clientLabel(id, names), s.wasted, s.wasted+s.useful,
+			clientName(id, names), s.wasted, s.wasted+s.useful,
 			100*float64(s.wasted)/float64(s.wasted+s.useful), meanProb)
 		pages := make([]*wastedPage, 0, len(s.pages))
 		for _, p := range s.pages {

@@ -51,7 +51,7 @@
 //
 // The paper's model gives each client a private serial link. The
 // multiclient simulation (RunMultiClient, CompareMultiClient,
-// SweepMultiClient) runs N concurrent surfer sessions — each with its own
+// SweepMultiClientGrid) runs N concurrent surfer sessions — each with its own
 // SKP planner, derived random stream and client cache — against one server
 // with bounded transfer concurrency and an optional shared server-side
 // cache, reporting per-client and aggregate access times, queueing delay
@@ -71,8 +71,8 @@
 // speculative requests while a sliding-window utilisation estimate is
 // above threshold. A demand arrival for a page whose prefetch is still
 // queued promotes that transfer into the demand class. Compare
-// disciplines over identical workloads with SweepMultiClientDisciplines
-// or examples/scheduling.
+// disciplines over identical workloads with SweepMultiClientGrid and
+// MultiClientDisciplineAxis, or examples/scheduling.
 //
 // # Adaptive speculation: closed-loop λ control
 //
@@ -95,7 +95,7 @@
 // functions of the feedback stream — identical seeds replay
 // bit-for-bit, and with zero congestion every controller converges to
 // the static-λ plan. Compare controllers over identical workloads with
-// SweepMultiClientControllers or examples/adaptive, which shows
+// MultiClientControllerAxis or examples/adaptive, which shows
 // closed-loop λ on a plain FIFO server recovering nearly all of the
 // priority discipline's demand-latency win at N=16.
 //
@@ -118,11 +118,11 @@
 // Each run reports the per-round prediction L1 error against the truth,
 // the wasted-prefetch fraction and the zero-fetch hit ratio, so the
 // oracle-vs-learned gap is measurable per discipline and per controller:
-// SweepMultiClientPredictors isolates the predictor axis and
-// SweepMultiClientPredictorControllers crosses it with λ controllers,
-// marking each controller's (demand latency, speculative throughput)
-// Pareto frontier — the view that keeps a weak predictor visible when
-// adaptive λ masks it in raw latency. See examples/learned for the gap
+// MultiClientPredictorAxis isolates the predictor axis, crossing it with
+// MultiClientControllerAxis gives the controller × predictor grid, and
+// MultiClientParetoFrontier marks each controller's (demand latency,
+// speculative throughput) Pareto frontier — the view that keeps a weak
+// predictor visible when adaptive λ masks it in raw latency. See examples/learned for the gap
 // table at N=16 under FIFO and priority scheduling.
 //
 // # Non-stationary workloads: drifting hot sets
@@ -148,9 +148,10 @@
 // # Fleet: replicated servers, routing and failures
 //
 // Every layer above still funnels all N clients into one server. The
-// fleet simulation (RunFleet, a FleetConfig) replicates that server R
-// times — each replica a full scheduling-arbitrated, cache-equipped,
-// predictor-carrying server — and puts a pluggable Router in front:
+// fleet simulation (RunFleet, a FleetConfig) runs the same client and
+// server state machines with the server replicated R times — each
+// replica a full scheduling-arbitrated, cache-equipped,
+// predictor-carrying server — and a pluggable Router in front:
 // RouterRoundRobin spreads requests over live replicas,
 // RouterLeastLoaded follows scheduler backlog feedback, and RouterHash
 // pins each client to a home replica on a consistent-hash ring so
@@ -181,11 +182,6 @@
 // FleetFailEveryAxis — and the engine runs their cross product
 // row-major (first axis slowest) with seed-replicated repetitions,
 // validating every cell up front, deterministic for any worker count.
-// The per-axis entry points above (SweepMultiClient,
-// SweepMultiClientDisciplines, SweepMultiClientControllers,
-// SweepMultiClientPredictors, SweepMultiClientPredictorControllers)
-// remain as thin legacy wrappers over the same engine; new code should
-// compose axes instead.
 //
 // # Observability: the decision trace
 //

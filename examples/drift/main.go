@@ -59,7 +59,7 @@ func main() {
 			c.DriftEvery = driftEvery
 			label = fmt.Sprintf("drift every %d rounds", driftEvery)
 		}
-		points, err := prefetch.SweepMultiClientPredictors(c, preds, reps, 0)
+		points, err := prefetch.SweepMultiClientGrid(c, reps, 0, true, prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -68,12 +68,12 @@ func main() {
 			"predictor", "demand T", "mean T", "L1 err", "waste%", "hit%", "improve%")
 		l1[drifting] = map[prefetch.PredictorKind]float64{}
 		demand[drifting] = map[prefetch.PredictorKind]float64{}
-		for _, p := range points {
+		for i, p := range points {
 			fmt.Printf("%-12s %10.3f %10.3f %8.3f %7.1f%% %7.1f%% %9.1f%%\n",
-				p.Kind, p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
+				preds[i], p.DemandAccess.Mean(), p.Access.Mean(), p.L1Error.Mean(),
 				100*p.WastedFraction.Mean(), 100*p.HitRatio.Mean(), 100*p.Improvement.Mean())
-			l1[drifting][p.Kind] = p.L1Error.Mean()
-			demand[drifting][p.Kind] = p.DemandAccess.Mean()
+			l1[drifting][preds[i]] = p.L1Error.Mean()
+			demand[drifting][preds[i]] = p.DemandAccess.Mean()
 		}
 	}
 

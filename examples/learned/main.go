@@ -51,7 +51,10 @@ func main() {
 	for _, disc := range discs {
 		c := cfg
 		c.Sched = prefetch.SchedConfig{Kind: disc}
-		points, err := prefetch.SweepMultiClientPredictorControllers(c, preds, ctls, reps, 0)
+		// Controller-major grid, no baseline leg: the comparison is
+		// relative, so the doubled cost would buy nothing.
+		points, err := prefetch.SweepMultiClientGrid(c, reps, 0, false,
+			prefetch.MultiClientControllerAxis(ctls), prefetch.MultiClientPredictorAxis(preds))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -61,14 +64,16 @@ func main() {
 			fmt.Printf("%-10s %10s %10s %8s %8s %8s %10s %7s\n",
 				"predictor", "demand T", "mean T", "waste%", "L1 err", "hit%", "spec/s", "pareto")
 			gap[disc][ctl] = map[prefetch.PredictorKind]float64{}
+			row := points[ci*len(preds) : (ci+1)*len(preds)]
+			front := prefetch.MultiClientParetoFrontier(row)
 			for pi, pred := range preds {
-				p := points[ci*len(preds)+pi]
+				p := row[pi]
 				mark := ""
-				if p.Pareto {
+				if front[pi] {
 					mark = "*"
 				}
 				fmt.Printf("%-10s %10.3f %10.3f %7.1f%% %8.3f %7.1f%% %10.4f %7s\n",
-					p.Predictor, p.DemandAccess.Mean(), p.Access.Mean(),
+					pred, p.DemandAccess.Mean(), p.Access.Mean(),
 					100*p.WastedFraction.Mean(), p.L1Error.Mean(),
 					100*p.HitRatio.Mean(), p.SpecThroughput.Mean(), mark)
 				gap[disc][ctl][pred] = p.DemandAccess.Mean()

@@ -84,10 +84,9 @@ func FleetReplicasAxis(ns []int) (FleetAxis, error) { return fleet.ReplicasAxis(
 func FleetFailEveryAxis(means []float64) (FleetAxis, error) { return fleet.FailEveryAxis(means) }
 
 // Unified sweep surface for the single-server model: every multiclient
-// sweep is one generic axis-based engine (internal/sweep.Grid), and the
-// per-axis entry points (SweepMultiClient, SweepMultiClientDisciplines,
-// SweepMultiClientControllers, SweepMultiClientPredictors,
-// SweepMultiClientPredictorControllers) are legacy wrappers over it.
+// sweep is one generic axis-based engine (internal/sweep.Grid) over
+// composable axes — client count, discipline, controller, predictor, or
+// any caller-defined mutation of the config.
 type (
 	// MultiClientAxis is one swept dimension of a MultiClientConfig.
 	MultiClientAxis = multiclient.Axis
@@ -123,4 +122,11 @@ func MultiClientControllerAxis(kinds []ControllerKind) MultiClientAxis {
 // MultiClientPredictorAxis sweeps the prediction source.
 func MultiClientPredictorAxis(kinds []PredictorKind) MultiClientAxis {
 	return multiclient.PredictorAxis(kinds)
+}
+
+// MultiClientParetoFrontier reports which points of one group (say, one
+// controller's row of a controller × predictor grid) are non-dominated on
+// (mean demand latency ↓, mean speculative throughput ↑).
+func MultiClientParetoFrontier(group []MultiClientPoint) []bool {
+	return multiclient.ParetoFrontier(group)
 }

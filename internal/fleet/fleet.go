@@ -1,7 +1,9 @@
 // Package fleet scales the multiclient model out: R replicas, each a
-// full scheduling-arbitrated, cache-equipped server (the same machinery
-// as internal/multiclient), behind a pluggable router that places every
-// client request on one of them. The single-server model asks how N
+// full scheduling-arbitrated, cache-equipped server, behind a pluggable
+// router that places every client request on one of them. It runs on
+// internal/multiclient's client and server state machines
+// (multiclient.RunServers): one engine, here with R servers, a router
+// and a failure schedule. The single-server model asks how N
 // sessions contend for one link; the fleet asks where speculation should
 // live when there are several — spread requests for load (round-robin,
 // least-loaded) and every replica sees a diluted access stream, or pin
@@ -20,9 +22,9 @@
 // are simply gone, and the page stays demand-fetchable.
 //
 // Determinism: one netsim.Clock, every stream derived from the master
-// seed (clients reuse the multiclient labels; replica i's failure clock
-// is "replica/i/fail"), routers are pure functions — runs replay bit for
-// bit at any GOMAXPROCS, and a single-replica FIFO fleet with failures
+// seed (clients use the multiclient labels; replica i's failure clock is
+// "replica/i/fail"), routers are pure functions — runs replay bit for
+// bit at any GOMAXPROCS, and a single-replica fleet with failures
 // disabled reproduces the multiclient timeline exactly.
 package fleet
 
@@ -30,14 +32,8 @@ import (
 	"errors"
 	"fmt"
 
-	"prefetch/internal/core"
 	"prefetch/internal/multiclient"
-	"prefetch/internal/netsim"
-	"prefetch/internal/obs"
-	"prefetch/internal/predict"
-	"prefetch/internal/rng"
 	"prefetch/internal/stats"
-	"prefetch/internal/webgraph"
 )
 
 // ErrBadConfig reports an invalid fleet configuration.
@@ -229,153 +225,6 @@ func (r Result) HitRatio() float64 {
 	return 1 - float64(r.DemandAccess.N())/float64(r.Access.N())
 }
 
-// failLabel names replica i's derived failure stream.
-func failLabel(i int) string { return fmt.Sprintf("replica/%d/fail", i) }
-
-// clientLabel and driftLabel name session i's derived RNG streams. They
-// are byte-identical to the multiclient labels on purpose: same seed ⇒
-// same workload, so fleet and single-server runs are directly
-// comparable (and equal at one replica without failures).
-func clientLabel(i int) string { return fmt.Sprintf("client/%d", i) }
-func driftLabel(i int) string  { return fmt.Sprintf("client/%d/drift", i) }
-
-// parkedDemand is a demand fetch with nowhere to go: every replica was
-// down when it (re-)routed. Parked demands drain in park order on the
-// next recovery.
-type parkedDemand struct {
-	sess *session
-	page int
-	from int // replica ordinal (1-based) the demand was displaced from, 0 if none
-}
-
-// fleetRun is one simulation in flight: the shared clock, the replicas,
-// the sessions, the router and the failure bookkeeping.
-type fleetRun struct {
-	cfg      *Config
-	clock    *netsim.Clock
-	tr       obs.Tracer
-	site     *webgraph.Site
-	router   Router
-	replicas []*replica
-	sessions []*session
-
-	// scripts is the sharded Phase-A precomputation inherited from the
-	// multiclient core (nil when the config is not scriptable); planBuf is
-	// the shared per-plan scratch the single-threaded event loop reuses.
-	scripts *multiclient.Scripts
-	planBuf []core.Item
-
-	active   int // sessions still browsing; churn stops at 0
-	parked   []parkedDemand
-	reroutes int64
-	lost     int64
-
-	// lastT is the time of the last meaningful event. The clock itself
-	// can run past it: a failure check scheduled beyond the workload's
-	// end fires as a no-op, and counting it would inflate Elapsed.
-	lastT float64
-}
-
-// states builds the router's view of the fleet at now, replicas in id
-// order. Feedback reads use Peek — the untraced Snapshot — so routing a
-// request does not flood the trace with queue_depth samples.
-func (f *fleetRun) states(now float64) []ReplicaState {
-	sts := make([]ReplicaState, len(f.replicas))
-	for i, rep := range f.replicas {
-		sts[i] = ReplicaState{ID: rep.id, Up: rep.up, Feedback: rep.sched.Peek(now)}
-	}
-	return sts
-}
-
-// pick runs the routing decision without tracing.
-func (f *fleetRun) pick(client, page int) (*replica, bool) {
-	id, ok := f.router.Route(client, page, f.states(f.clock.Now()))
-	if !ok {
-		return nil, false
-	}
-	return f.replicas[id], true
-}
-
-// route places a request and traces the decision. It reports false when
-// the whole fleet is down.
-func (f *fleetRun) route(s *session, page int, demand bool) (*replica, bool) {
-	rep, ok := f.pick(s.id, page)
-	if !ok {
-		return nil, false
-	}
-	if f.tr != nil {
-		ev := obs.Ev(f.clock.Now(), obs.KindRoute, s.id)
-		ev.Round = s.round
-		ev.Page = page
-		ev.Demand = demand
-		ev.Replica = rep.id + 1
-		f.tr.Emit(ev)
-	}
-	return rep, true
-}
-
-// rerouteDemand re-places a demand fetch displaced from a failed
-// replica (or parked during a total outage). The reroute event doubles
-// as the new routing decision, so no separate route event is emitted.
-func (f *fleetRun) rerouteDemand(s *session, page, fromOrdinal int) {
-	rep, ok := f.pick(s.id, page)
-	if !ok {
-		f.parked = append(f.parked, parkedDemand{sess: s, page: page, from: fromOrdinal})
-		return
-	}
-	if f.tr != nil {
-		ev := obs.Ev(f.clock.Now(), obs.KindReRoute, s.id)
-		ev.Round = s.round
-		ev.Page = page
-		ev.Replica = rep.id + 1
-		if fromOrdinal > 0 {
-			ev.Note = fmt.Sprintf("from replica %d", fromOrdinal)
-		}
-		f.tr.Emit(ev)
-	}
-	rep.enqueue(&frequest{
-		sess:     s,
-		page:     page,
-		duration: f.site.Pages[page].Retrieval,
-		demand:   true,
-		round:    s.round,
-	})
-}
-
-// handleLost repairs one session's state after its outstanding transfer
-// died with a replica. A lost speculative transfer just stops being
-// pending; a lost transfer the session was blocked on — a demand fetch
-// or a promoted prefetch — re-routes as a fresh demand.
-func (f *fleetRun) handleLost(fr *frequest, from *replica) {
-	s := fr.sess
-	if s.pending[fr.page] == from {
-		delete(s.pending, fr.page)
-	}
-	if s.waitingFor == fr.page {
-		f.reroutes++
-		f.rerouteDemand(s, fr.page, from.id+1)
-	}
-}
-
-// drainParked re-routes demands parked during a total outage, in park
-// order. Called on every recovery; a pick can only fail again if the
-// recovering replica already failed at the same instant, in which case
-// the demand stays parked for the next recovery.
-func (f *fleetRun) drainParked() {
-	if len(f.parked) == 0 {
-		return
-	}
-	pending := f.parked
-	f.parked = nil
-	for _, p := range pending {
-		f.rerouteDemand(p.sess, p.page, p.from)
-	}
-}
-
-// sessionDone retires a finished session; failure injection stops once
-// every session has finished browsing, so the run drains.
-func (f *fleetRun) sessionDone() { f.active-- }
-
 // Run plays the full fleet simulation: all clients start browsing at
 // time zero, replicas fail and recover on their derived schedules, and
 // the event loop drains every transfer.
@@ -383,153 +232,55 @@ func Run(cfg Config) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Base.Seed, "site"), cfg.Base.Site)
-	if err != nil {
-		return Result{}, err
-	}
-	var clock netsim.Clock
-	tr := obs.Active(cfg.Base.Tracer)
 	router, err := NewRouter(cfg.Router, cfg.Replicas)
 	if err != nil {
 		return Result{}, err
 	}
-	f := &fleetRun{
-		cfg:    &cfg,
-		clock:  &clock,
-		tr:     tr,
-		site:   site,
-		router: router,
-		active: cfg.Base.Clients,
+	out, err := multiclient.RunServers(cfg.Base, multiclient.Servers{
+		N:            cfg.Replicas,
+		Router:       router,
+		FailEvery:    cfg.FailEvery,
+		RecoverAfter: cfg.RecoverAfter,
+	})
+	if err != nil {
+		return Result{}, err
 	}
-	if multiclient.Scriptable(cfg.Base) {
-		// Same client labels, same seed, same draw order: the sharded
-		// Phase-A workers precompute fleet sessions exactly as they do
-		// single-server clients.
-		f.scripts, err = multiclient.GenerateScripts(cfg.Base, site)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	f.replicas = make([]*replica, cfg.Replicas)
-	for i := range f.replicas {
-		rep, err := newReplica(i, f)
-		if err != nil {
-			return Result{}, err
-		}
-		f.replicas[i] = rep
-	}
-	f.sessions = make([]*session, cfg.Base.Clients)
-	for i := range f.sessions {
-		s, err := newSession(i, f)
-		if err != nil {
-			return Result{}, err
-		}
-		f.sessions[i] = s
-	}
-	for _, s := range f.sessions {
-		s := s
-		clock.Schedule(0, func() { s.startRound(0) })
-	}
-	// Failure schedules go on the clock after the session starts so the
-	// workload's t=0 events run before any t=0 failure draw.
-	if cfg.FailEvery > 0 {
-		for _, rep := range f.replicas {
-			rep.failRand = rng.Derive(cfg.Base.Seed, failLabel(rep.id))
-			rep.scheduleFailure(0)
-		}
-	}
-	clock.Run()
-
-	// Wasted-prefetch resolution, as in multiclient: per session in id
-	// order, then issue order, stamped at drain time.
-	if tr != nil {
-		end := clock.Now()
-		for _, s := range f.sessions {
-			for _, sp := range s.specLog {
-				if sp.used {
-					continue
-				}
-				ev := obs.Ev(end, obs.KindSpecWasted, s.id)
-				ev.Page = sp.page
-				ev.Round = sp.round
-				ev.Prob = sp.prob
-				tr.Emit(ev)
-			}
-		}
-	}
-	if cfg.FailEvery == 0 {
-		// No failure events on the clock, so the drain time is the last
-		// meaningful event by construction — and bit-for-bit what the
-		// single-server model reports.
-		f.lastT = clock.Now()
-	}
-
+	mc := &out.Result
 	res := Result{
-		Clients:     cfg.Base.Clients,
-		Replicas:    cfg.Replicas,
-		Concurrency: cfg.Base.ServerConcurrency,
-		Router:      router.Name(),
-		Discipline:  f.replicas[0].sched.Discipline(),
-		Controller:  f.sessions[0].ctrl.Name(),
-		Predictor:   f.sessions[0].predName,
-		PerClient:   make([]multiclient.ClientResult, cfg.Base.Clients),
-		PerReplica:  make([]ReplicaResult, cfg.Replicas),
-		Elapsed:     f.lastT,
-		ReRoutes:    f.reroutes,
+		Clients:           mc.Clients,
+		Replicas:          cfg.Replicas,
+		Concurrency:       mc.Concurrency,
+		Router:            router.Name(),
+		Discipline:        mc.Discipline,
+		Controller:        mc.Controller,
+		Predictor:         mc.Predictor,
+		PerClient:         mc.PerClient,
+		PerReplica:        make([]ReplicaResult, cfg.Replicas),
+		Access:            mc.Access,
+		DemandAccess:      mc.DemandAccess,
+		QueueWait:         mc.QueueWait,
+		Lambda:            mc.Lambda,
+		L1Error:           mc.L1Error,
+		Elapsed:           mc.Elapsed,
+		ServerBusy:        mc.ServerBusy,
+		ServerRequests:    mc.ServerRequests,
+		ServerCacheHits:   mc.ServerCacheHits,
+		SpecCompleted:     mc.SpecCompleted,
+		Preemptions:       mc.Preemptions,
+		PrefetchDropped:   mc.PrefetchDropped,
+		PrefetchDeferred:  mc.PrefetchDeferred,
+		PrefetchCompleted: mc.PrefetchCompleted,
+		PrefetchUseful:    mc.PrefetchUseful,
+		WarmInserted:      mc.WarmInserted,
+		WarmHits:          mc.WarmHits,
+		ReRoutes:          out.ReRoutes,
 	}
-	for i, rep := range f.replicas {
-		rr := rep.result(f.lastT)
-		res.PerReplica[i] = rr
-		res.ServerBusy += rr.Busy
-		res.ServerRequests += rr.Requests
-		res.ServerCacheHits += rr.CacheHits
-		res.SpecCompleted += rr.SpecCompleted
-		res.Preemptions += rr.Preemptions
-		res.PrefetchDropped += rr.PrefetchDropped
-		res.PrefetchDeferred += rr.PrefetchDeferred
-		res.WarmInserted += rr.WarmInserted
-		res.WarmHits += rr.WarmHits
-		res.Failures += int64(rr.Failures)
-		res.Recoveries += int64(rr.Recoveries)
-		res.LostTransfers += rr.Lost
-		res.Downtime += rr.Downtime
-	}
-	for i, s := range f.sessions {
-		if s.access.N() != int64(cfg.Base.Rounds) {
-			return Result{}, fmt.Errorf("fleet: client %d finished %d/%d rounds", i, s.access.N(), cfg.Base.Rounds)
-		}
-		res.PerClient[i] = multiclient.ClientResult{
-			Client:            i,
-			Access:            s.access,
-			DemandAccess:      s.demandAccess,
-			QueueWait:         s.queueWait,
-			Lambda:            s.lambdaTrace,
-			L1Error:           s.l1Trace,
-			PrefetchIssued:    s.prefetchIssued,
-			PrefetchDropped:   s.prefetchDropped,
-			PrefetchCompleted: s.prefetchCompleted,
-			PrefetchUseful:    s.prefetchUseful,
-			DemandFetches:     s.demandFetches,
-			ZeroWaitRounds:    s.zeroWaitRounds,
-		}
-		res.Access.Merge(&s.access)
-		res.DemandAccess.Merge(&s.demandAccess)
-		res.QueueWait.Merge(&s.queueWait)
-		res.Lambda.Merge(&s.lambdaTrace)
-		res.L1Error.Merge(&s.l1Trace)
-		res.PrefetchCompleted += s.prefetchCompleted
-		res.PrefetchUseful += s.prefetchUseful
+	for i, sr := range out.Servers {
+		res.PerReplica[i] = ReplicaResult(sr)
+		res.Failures += int64(sr.Failures)
+		res.Recoveries += int64(sr.Recoveries)
+		res.LostTransfers += sr.Lost
+		res.Downtime += sr.Downtime
 	}
 	return res, nil
-}
-
-// newAggregate builds one shared-prediction aggregate per replica when
-// the shared predictor is configured — each replica's model trains only
-// on the accesses of the clients homed there, the state affinity routing
-// specialises.
-func newAggregate(cfg *Config) *predict.Aggregate {
-	if cfg.Base.Predict.Kind != predict.KindShared {
-		return nil
-	}
-	return predict.NewAggregate()
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prefetch/internal/adaptive"
@@ -170,15 +171,16 @@ func TestScriptedSingleReplicaMatchesMulticlient(t *testing.T) {
 	}
 }
 
-// TestFleetShardCountIndependence: the Base.Shards parallelism hint never
-// changes a byte of a fleet run either — even under replica churn, since
-// only Phase-A script generation parallelises.
+// TestFleetShardCountIndependence: the Phase-A shard worker count (one
+// per GOMAXPROCS) never changes a byte of a fleet run either — even
+// under replica churn, since only script generation parallelises.
 func TestFleetShardCountIndependence(t *testing.T) {
-	run := func(shards int) (Result, []obs.Event) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	run := func(procs int) (Result, []obs.Event) {
+		runtime.GOMAXPROCS(procs)
 		cfg := churnConfig()
 		cfg.Base.Predict = predict.Config{} // scriptable: stationary oracle
 		cfg.Base.WarmServerCache = false    // warming needs the shared predictor
-		cfg.Base.Shards = shards
 		tr := &obs.Collector{}
 		cfg.Base.Tracer = tr
 		res, err := Run(cfg)
@@ -188,13 +190,13 @@ func TestFleetShardCountIndependence(t *testing.T) {
 		return res, tr.Events
 	}
 	want, wantEvs := run(1)
-	for _, shards := range []int{0, 4, 16} {
-		got, gotEvs := run(shards)
+	for _, procs := range []int{2, 4, 16} {
+		got, gotEvs := run(procs)
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: result differs from shards=1", shards)
+			t.Errorf("GOMAXPROCS=%d: result differs from GOMAXPROCS=1", procs)
 		}
 		if !reflect.DeepEqual(gotEvs, wantEvs) {
-			t.Errorf("shards=%d: trace differs from shards=1", shards)
+			t.Errorf("GOMAXPROCS=%d: trace differs from GOMAXPROCS=1", procs)
 		}
 	}
 }

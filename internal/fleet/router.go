@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"prefetch/internal/schedsrv"
+	"prefetch/internal/multiclient"
 )
 
 // Kind selects a routing policy.
@@ -36,27 +36,12 @@ func Kinds() []Kind { return []Kind{KindRoundRobin, KindLeastLoaded, KindHash} }
 
 // ReplicaState is one replica's routing-time state: whether it is up and
 // its scheduler's untraced congestion feedback.
-type ReplicaState struct {
-	ID       int
-	Up       bool
-	Feedback schedsrv.Feedback
-}
+type ReplicaState = multiclient.ReplicaState
 
 // Router places one request on a replica. Implementations must be
 // deterministic pure functions of their own state and the arguments —
 // no wall clock, no global RNG — so fleet runs replay bit for bit.
-type Router interface {
-	Name() string
-	// Route picks a live replica for the client's request, or reports
-	// false when every replica is down. states lists all replicas in id
-	// order, up or not.
-	Route(client, page int, states []ReplicaState) (int, bool)
-	// Home returns the replica a client is anchored to when every
-	// replica is up — the one whose shared predictor observes the
-	// client's accesses and whose cache the client's round-start
-	// warming targets.
-	Home(client, replicas int) int
-}
+type Router = multiclient.Router
 
 // NewRouter builds the named router for a fleet of the given size.
 // An empty kind means KindRoundRobin.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"prefetch/internal/adaptive"
+	"prefetch/internal/sweep"
 )
 
 // TestStaticControllerReplaysDefault: the explicit static controller must
@@ -190,7 +191,7 @@ func TestSweepControllers(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	kinds := adaptive.Kinds()
-	a, err := SweepControllers(cfg, kinds, 2, 0)
+	a, err := Sweep(cfg, 2, 0, true, ControllerAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,15 +199,15 @@ func TestSweepControllers(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(a), len(kinds))
 	}
 	for i, p := range a {
-		if p.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
-			t.Errorf("point %d = (%s, N=%d, reps=%d)", i, p.Kind, p.Clients, p.Reps)
+		if p.Labels[0] != string(kinds[i]) || p.Config.Adaptive.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
+			t.Errorf("point %d = (%v, N=%d, reps=%d)", i, p.Labels, p.Clients, p.Reps)
 		}
 		if want := int64(cfg.Clients * cfg.Rounds * 2); p.Access.N() != want || p.Lambda.N() != want {
 			t.Errorf("point %d merged %d access / %d λ observations, want %d",
 				i, p.Access.N(), p.Lambda.N(), want)
 		}
 	}
-	b, err := SweepControllers(cfg, kinds, 2, 1)
+	b, err := Sweep(cfg, 2, 1, true, ControllerAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,13 +229,13 @@ func TestSweepControllers(t *testing.T) {
 
 func TestSweepControllersBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepControllers(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, true, ControllerAxis(nil)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepControllers(cfg, []adaptive.Kind{"pid"}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, ControllerAxis([]adaptive.Kind{"pid"})); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown kind: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepControllers(cfg, adaptive.Kinds(), 0, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 0, 0, true, ControllerAxis(adaptive.Kinds())); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }

@@ -22,12 +22,18 @@ import (
 // same timeline.
 type client struct {
 	id     int
+	run    *run
 	cfg    *Config
 	clock  *netsim.Clock
-	server *server
 	site   *webgraph.Site
 	surfer *webgraph.Surfer
 	rand   *rng.Source
+
+	// home anchors the parts of the model that need one server per
+	// client regardless of where requests are routed: the shared
+	// predictor the client trains and plans from, the cache its round
+	// starts warm, and the congestion feedback its controller observes.
+	home *server
 
 	// pred is the prediction source the planner consumes. oracle marks
 	// the true-distribution source, whose per-round L1 error is zero by
@@ -53,7 +59,7 @@ type client struct {
 	// with the seed's map semantics.
 	cache     *cache.Cache // nil ⇒ per-round prefetch-only semantics
 	ready     []int        // prefetches completed this round (cache == nil)
-	pending   []bool       // pages requested from the server, not yet completed
+	pending   []bool       // pages requested as prefetches, not yet completed
 	specReady []bool       // cached pages whose latest store was speculative and unused
 
 	round       int
@@ -111,32 +117,35 @@ type specRecord struct {
 	used  bool
 }
 
-func newClient(id int, cfg *Config, clock *netsim.Clock, srv *server, site *webgraph.Site, agg *predict.Aggregate, scripts *Scripts, script *Script, tr obs.Tracer) (*client, error) {
+func newClient(id int, r *run, home *server, scripts *Scripts) (*client, error) {
+	cfg := r.cfg
+	pages := len(r.site.Pages)
 	c := &client{
 		id:         id,
+		run:        r,
 		cfg:        cfg,
-		clock:      clock,
-		server:     srv,
-		site:       site,
-		tr:         tr,
-		ready:      make([]int, len(site.Pages)),
-		pending:    make([]bool, len(site.Pages)),
-		specReady:  make([]bool, len(site.Pages)),
+		clock:      &r.clock,
+		site:       r.site,
+		home:       home,
+		tr:         r.tr,
+		ready:      make([]int, pages),
+		pending:    make([]bool, pages),
+		specReady:  make([]bool, pages),
 		roundsLeft: cfg.Rounds,
 		waitingFor: -1,
 	}
 	c.demandFn = func() { c.request(c.nextPage) }
 	c.oracle = cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle
-	if script != nil {
+	if scripts != nil {
 		// Scripted mode: the Phase-A shard worker already consumed this
 		// client's random streams and predictor; the live client only
-		// replays the script against the shared clock and server.
-		c.script = script
+		// replays the script against the shared clock and servers.
+		c.script = &scripts.PerClient[id]
 		c.table = scripts.Table
 		c.predName = scripts.PredName
 	} else {
 		c.rand = rng.Derive(cfg.Seed, clientLabel(id))
-		c.surfer = webgraph.NewSurfer(c.rand, site, cfg.FollowProb)
+		c.surfer = webgraph.NewSurfer(c.rand, r.site, cfg.FollowProb)
 		if cfg.DriftEvery > 0 {
 			// Non-stationary mode: the hot set re-draws every DriftEvery
 			// rounds (the surfer steps once per round) from a per-client
@@ -144,7 +153,7 @@ func newClient(id int, cfg *Config, clock *netsim.Clock, srv *server, site *webg
 			// current phase, so oracle predictions stay exact across shifts.
 			c.surfer.EnableDrift(rng.Derive(cfg.Seed, driftLabel(id)), cfg.DriftEvery)
 		}
-		pred, err := predict.New(cfg.Predict, id, c.surfer.NextDistributionFrom, agg)
+		pred, err := predict.New(cfg.Predict, id, c.surfer.NextDistributionFrom, home.agg)
 		if err != nil {
 			return nil, err
 		}
@@ -204,11 +213,14 @@ func (c *client) store(req request) {
 // this round — the §4.4 stretch generalised to a shared link.
 func (c *client) startRound(now float64) {
 	if c.roundsLeft == 0 {
+		// Finished browsing; failure injection stops once every client
+		// has, so the run drains.
+		c.run.active--
 		return
 	}
 	// Server-side prefetching piggybacks on round starts: the warmer is
 	// internally rate-limited and a no-op unless cache warming is enabled.
-	c.server.maybeWarm(now)
+	c.home.maybeWarm(now)
 	c.roundsLeft--
 	c.round++ // advancing the round stamp implicitly clears c.ready
 
@@ -241,16 +253,17 @@ func (c *client) startRound(now float64) {
 				ev.Service = it.Retrieval
 				c.tr.Emit(ev)
 			}
-			ok := c.server.enqueue(request{
+			srv := c.run.route(c, it.ID, false)
+			if srv == nil || !srv.enqueue(request{
 				client:   c,
 				page:     it.ID,
 				duration: it.Retrieval,
 				round:    c.round,
 				prob:     it.Prob,
-			})
-			if !ok {
-				// Admission control dropped it: no transfer will happen,
-				// so the page must stay requestable on demand.
+			}) {
+				// Admission control dropped it (or every server is down):
+				// no transfer will happen, so the page must stay
+				// requestable on demand.
 				c.prefetchDropped++
 				continue
 			}
@@ -279,7 +292,7 @@ func (c *client) observe(now float64) {
 		c.lambdaTrace.Add(c.curLambda)
 		return
 	}
-	snap := c.server.snapshot(now)
+	snap := c.home.feedback(now)
 	fb := adaptive.Feedback{
 		Round:        c.round,
 		Utilization:  snap.Utilization,
@@ -337,7 +350,7 @@ func (c *client) plan(viewing float64) core.Plan {
 			cands = c.script.Cands[c.round-1]
 		}
 		c.l1Trace.Add(l1)
-		items = c.server.planBuf[:0]
+		items = c.run.planBuf[:0]
 		for i := range cands {
 			if len(items) == c.cfg.MaxCandidates {
 				break
@@ -347,7 +360,7 @@ func (c *client) plan(viewing float64) core.Plan {
 			}
 			items = append(items, cands[i])
 		}
-		c.server.planBuf = items
+		c.run.planBuf = items
 	} else {
 		state = c.surfer.Current()
 		dist := c.pred.Next(state)
@@ -355,7 +368,7 @@ func (c *client) plan(viewing float64) core.Plan {
 			l1 = predict.L1(dist, c.surfer.NextDistributionFrom(state))
 		}
 		c.l1Trace.Add(l1)
-		items = c.server.planBuf[:0]
+		items = c.run.planBuf[:0]
 		for page, prob := range dist {
 			if prob <= 0 || c.holds(page) || c.pending[page] {
 				continue
@@ -363,9 +376,9 @@ func (c *client) plan(viewing float64) core.Plan {
 			//lint:allow maporder sorted below via the reusable sorter (total-order key: prob desc, id asc)
 			items = append(items, core.Item{ID: page, Prob: prob, Retrieval: c.site.Pages[page].Retrieval})
 		}
-		c.server.planBuf = items // retain any growth for the next plan
-		c.server.sorter.items = items
-		sort.Sort(&c.server.sorter)
+		c.run.planBuf = items // retain any growth for the next plan
+		c.run.sorter.items = items
+		sort.Sort(&c.run.sorter)
 		if len(items) > c.cfg.MaxCandidates {
 			items = items[:c.cfg.MaxCandidates]
 		}
@@ -379,7 +392,7 @@ func (c *client) plan(viewing float64) core.Plan {
 		c.tr.Emit(ev)
 	}
 	problem := core.Problem{Items: items, Viewing: viewing, TotalProb: 1}
-	plan, _, err := c.server.solver.Solve(problem, core.Options{}.WithNetworkLambda(c.curLambda))
+	plan, _, err := c.run.solver.Solve(problem, core.Options{}.WithNetworkLambda(c.curLambda))
 	if err != nil {
 		// The problem is constructed valid by design; a failure here is a
 		// simulator bug, not a configuration error.
@@ -453,17 +466,11 @@ func (c *client) request(page int) {
 		// scheduler learns the transfer is now demand-critical, so
 		// class-aware disciplines stop deprioritising it. Under FIFO this
 		// is a pure accounting change and reorders nothing.
-		c.server.promote(c.id, page)
+		c.run.promote(c.id, page)
 		return
 	}
 	c.demandFetches++
-	c.server.enqueue(request{
-		client:   c,
-		page:     page,
-		duration: c.site.Pages[page].Retrieval,
-		demand:   true,
-		round:    c.round,
-	})
+	c.run.fetch(c, page, false, 0)
 }
 
 // markSpecUsed resolves the latest unused speculative transfer of page
@@ -512,6 +519,7 @@ func (c *client) onTransferDone(req request, waited float64) {
 
 // respond closes the round and immediately begins the next one.
 func (c *client) respond(access float64) {
+	c.run.lastT = c.clock.Now()
 	if c.tr != nil {
 		ev := obs.Ev(c.clock.Now(), obs.KindRoundEnd, c.id)
 		ev.Round = c.round

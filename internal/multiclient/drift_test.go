@@ -5,10 +5,7 @@ import (
 	"math"
 	"testing"
 
-	"prefetch/internal/netsim"
 	"prefetch/internal/predict"
-	"prefetch/internal/rng"
-	"prefetch/internal/webgraph"
 )
 
 // driftTestConfig is testConfig with a non-stationary workload: the hot
@@ -166,17 +163,12 @@ func TestWarmCadenceRespected(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	var clock netsim.Clock
-	srv, err := newServer(&clock, cfg, nil)
+	r, err := newRun(cfg, Servers{N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg := predict.NewAggregate()
-	srv.enableWarming(cfg, agg, site)
+	srv := r.servers[0]
+	agg := srv.agg
 	for i := 0; i < 50; i++ {
 		agg.ObserveClient(0, i%10)
 	}
@@ -208,68 +200,55 @@ func TestWarmRejectsUnvalidatedCadence(t *testing.T) {
 	cfg.ServerCacheSlots = 8
 	cfg.Predict = predict.Config{Kind: predict.KindShared}
 	cfg.WarmServerCache = true
-	var clock netsim.Clock
-	srv, err := newServer(&clock, cfg, nil)
+	r, err := newRun(cfg, Servers{N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.MeanViewing = 0
+	r.cfg.MeanViewing = 0
 	defer func() {
 		if recover() == nil {
 			t.Error("enableWarming accepted a zero warm cadence")
 		}
 	}()
-	srv.enableWarming(cfg, predict.NewAggregate(), site)
+	r.servers[0].enableWarming()
 }
 
 // TestMarkParetoDuplicates: cells with identical (demand latency,
 // spec/s) are marked together — both dominated or both on the frontier —
 // and the marking does not depend on slice order.
 func TestMarkParetoDuplicates(t *testing.T) {
-	mk := func(demand, spec float64) PredictorControllerPoint {
-		var p PredictorControllerPoint
+	mk := func(demand, spec float64) Point {
+		var p Point
 		p.DemandAccess.Add(demand)
 		p.SpecThroughput.Add(spec)
 		return p
 	}
 	// Dominated duplicates: (3,7) twice, both strictly beaten by (2,9).
-	group := []PredictorControllerPoint{mk(3, 7), mk(2, 9), mk(3, 7)}
-	markPareto(group)
-	if group[0].Pareto || group[2].Pareto || !group[1].Pareto {
-		t.Errorf("dominated duplicates marked inconsistently: %v %v %v",
-			group[0].Pareto, group[1].Pareto, group[2].Pareto)
+	front := ParetoFrontier([]Point{mk(3, 7), mk(2, 9), mk(3, 7)})
+	if front[0] || front[2] || !front[1] {
+		t.Errorf("dominated duplicates marked inconsistently: %v", front)
 	}
 	// Frontier duplicates: (2,9) twice, nothing dominates them.
-	group = []PredictorControllerPoint{mk(2, 9), mk(3, 7), mk(2, 9)}
-	markPareto(group)
-	if !group[0].Pareto || !group[2].Pareto {
-		t.Errorf("frontier duplicates marked inconsistently: %v vs %v",
-			group[0].Pareto, group[2].Pareto)
+	front = ParetoFrontier([]Point{mk(2, 9), mk(3, 7), mk(2, 9)})
+	if !front[0] || !front[2] {
+		t.Errorf("frontier duplicates marked inconsistently: %v", front)
 	}
 	// Order independence: every rotation of the group yields the same
 	// flags for the same (demand, spec) values.
-	base := []PredictorControllerPoint{mk(1, 5), mk(2, 9), mk(3, 7), mk(2, 9), mk(1.5, 6)}
-	markPareto(base)
+	base := []Point{mk(1, 5), mk(2, 9), mk(3, 7), mk(2, 9), mk(1.5, 6)}
 	want := map[[2]float64]bool{}
-	for _, p := range base {
-		want[[2]float64{p.DemandAccess.Mean(), p.SpecThroughput.Mean()}] = p.Pareto
+	for i, on := range ParetoFrontier(base) {
+		want[[2]float64{base[i].DemandAccess.Mean(), base[i].SpecThroughput.Mean()}] = on
 	}
 	for rot := 1; rot < len(base); rot++ {
-		group := make([]PredictorControllerPoint, 0, len(base))
+		group := make([]Point, 0, len(base))
 		for i := range base {
-			p := base[(i+rot)%len(base)]
-			p.Pareto = false
-			group = append(group, p)
+			group = append(group, base[(i+rot)%len(base)])
 		}
-		markPareto(group)
-		for i, p := range group {
-			key := [2]float64{p.DemandAccess.Mean(), p.SpecThroughput.Mean()}
-			if p.Pareto != want[key] {
-				t.Errorf("rotation %d point %d (%v): Pareto = %v, want %v", rot, i, key, p.Pareto, want[key])
+		for i, on := range ParetoFrontier(group) {
+			key := [2]float64{group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()}
+			if on != want[key] {
+				t.Errorf("rotation %d point %d (%v): on frontier = %v, want %v", rot, i, key, on, want[key])
 			}
 		}
 	}
@@ -282,11 +261,11 @@ func TestDriftSweepDeterministic(t *testing.T) {
 	cfg := driftTestConfig()
 	cfg.Rounds = 40
 	kinds := []predict.Kind{predict.KindOracle, predict.KindDepGraph, predict.KindDecay}
-	a, err := SweepPredictors(cfg, kinds, 2, 0)
+	a, err := Sweep(cfg, 2, 0, true, PredictorAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SweepPredictors(cfg, kinds, 2, 3)
+	b, err := Sweep(cfg, 2, 3, true, PredictorAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,14 +18,19 @@
 // That per-client purity is what the sharded core (shard.go) exploits to
 // scale a round to 10⁵–10⁶ clients. Phase A precomputes every client's
 // workload script — viewing times, page trace, ranked prefetch candidates,
-// prediction error — across Config.Shards parallel workers, each owning a
-// contiguous client range; Phase B is the unchanged sequential event loop,
+// prediction error — across one parallel worker per available CPU, each
+// owning a contiguous client range; Phase B is the sequential event loop,
 // which merges the scripts in canonical (time, client) order. No float
-// crosses a shard boundary and the merge order is fixed, so results and
-// decision traces are byte-identical for every Shards value and every
-// GOMAXPROCS — sharding changes wall-clock time, never a result. The CI
-// determinism gate diffs metric tables and traces across shards {1,4,16}
-// × GOMAXPROCS {1,8} to keep that contract enforced.
+// crosses a worker boundary and the merge order is fixed, so results and
+// decision traces are byte-identical under every GOMAXPROCS — the workers
+// change wall-clock time, never a result. The CI determinism gate diffs
+// metric tables and traces across GOMAXPROCS {1,8} to keep that contract
+// enforced.
+//
+// The client and server state machines here are the only ones in the
+// simulator: internal/fleet runs on them with several servers behind a
+// router and a failure schedule (RunServers), and Run is the case of one
+// server, no router and no failures.
 package multiclient
 
 import (
@@ -33,10 +38,8 @@ import (
 	"fmt"
 
 	"prefetch/internal/adaptive"
-	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
-	"prefetch/internal/rng"
 	"prefetch/internal/schedsrv"
 	"prefetch/internal/stats"
 	"prefetch/internal/webgraph"
@@ -70,13 +73,6 @@ type Config struct {
 
 	MaxCandidates   int  // cap on SKP candidate list size per round
 	DisablePrefetch bool // demand-fetch only (the no-prefetch baseline)
-
-	// Shards is the number of parallel workers that precompute client
-	// workload scripts before the event loop runs (see shard.go). It is
-	// purely a parallelism hint: results and decision traces are
-	// bit-for-bit identical for every value. 0 (the default) uses one
-	// worker per available CPU.
-	Shards int
 
 	// Sched selects the server's scheduling discipline, shaping and
 	// admission control (see internal/schedsrv). The zero value is the
@@ -163,8 +159,6 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("%w: max candidates %d", ErrBadConfig, cfg.MaxCandidates)
 	case cfg.DriftEvery < 0:
 		return fmt.Errorf("%w: drift cadence %d rounds", ErrBadConfig, cfg.DriftEvery)
-	case cfg.Shards < 0:
-		return fmt.Errorf("%w: %d shards", ErrBadConfig, cfg.Shards)
 	}
 	scfg := cfg.Sched
 	scfg.Concurrency = cfg.ServerConcurrency
@@ -304,122 +298,8 @@ func driftLabel(i int) string { return fmt.Sprintf("client/%d/drift", i) }
 // and the event loop drains every scheduled transfer, including stale
 // prefetches left over after the last round.
 func Run(cfg Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	site, err := webgraph.Generate(rng.Derive(cfg.Seed, "site"), cfg.Site)
-	if err != nil {
-		return Result{}, err
-	}
-	var clock netsim.Clock
-	// Normalise the tracer once: a nil (or disabled) tracer stays nil
-	// all the way down, so every emission site is a single branch.
-	tr := obs.Active(cfg.Tracer)
-	srv, err := newServer(&clock, cfg, tr)
-	if err != nil {
-		return Result{}, err
-	}
-	// The shared prediction source is one aggregate model per run: every
-	// client trains it, every client plans from it, and (when enabled) the
-	// server warms its cache from it.
-	var agg *predict.Aggregate
-	if cfg.Predict.Kind == predict.KindShared {
-		agg = predict.NewAggregate()
-		srv.enableWarming(cfg, agg, site)
-	}
-	// Phase A: shard workers precompute every client's workload script in
-	// parallel (a no-op for the shared predictor, which must train in
-	// arrival order and keeps the inline path).
-	var scripts *Scripts
-	if Scriptable(cfg) {
-		scripts, err = GenerateScripts(cfg, site)
-		if err != nil {
-			return Result{}, err
-		}
-	}
-	clients := make([]*client, cfg.Clients)
-	for i := range clients {
-		var sc *Script
-		if scripts != nil {
-			sc = &scripts.PerClient[i]
-		}
-		c, err := newClient(i, &cfg, &clock, srv, site, agg, scripts, sc, tr)
-		if err != nil {
-			return Result{}, err
-		}
-		clients[i] = c
-	}
-	for _, c := range clients {
-		c := c
-		clock.Schedule(0, func() { c.startRound(0) })
-	}
-	clock.Run()
-
-	// Wasted-prefetch resolution: only after the event loop drains is
-	// it known which completed speculative transfers never served a
-	// demand. Emitted per client in id order, then issue order, stamped
-	// at end time — deterministic, like everything on the clock.
-	if tr != nil {
-		end := clock.Now()
-		for _, c := range clients {
-			for _, sp := range c.specLog {
-				if sp.used {
-					continue
-				}
-				ev := obs.Ev(end, obs.KindSpecWasted, c.id)
-				ev.Page = sp.page
-				ev.Round = sp.round
-				ev.Prob = sp.prob
-				tr.Emit(ev)
-			}
-		}
-	}
-
-	res := Result{
-		Clients:          cfg.Clients,
-		Concurrency:      cfg.ServerConcurrency,
-		Discipline:       srv.sched.Discipline(),
-		Controller:       clients[0].ctrl.Name(),
-		Predictor:        clients[0].predName,
-		PerClient:        make([]ClientResult, cfg.Clients),
-		Elapsed:          clock.Now(),
-		ServerBusy:       srv.sched.BusyTime(),
-		ServerRequests:   srv.served,
-		ServerCacheHits:  srv.cacheHits,
-		SpecCompleted:    srv.sched.SpecCompleted(),
-		Preemptions:      srv.sched.Preemptions(),
-		PrefetchDropped:  srv.sched.Dropped(),
-		PrefetchDeferred: srv.sched.Deferred(),
-		WarmInserted:     srv.warmInserted,
-		WarmHits:         srv.warmHits,
-	}
-	for i, c := range clients {
-		if c.access.N() != int64(cfg.Rounds) {
-			return Result{}, fmt.Errorf("multiclient: client %d finished %d/%d rounds", i, c.access.N(), cfg.Rounds)
-		}
-		res.PerClient[i] = ClientResult{
-			Client:            i,
-			Access:            c.access,
-			DemandAccess:      c.demandAccess,
-			QueueWait:         c.queueWait,
-			Lambda:            c.lambdaTrace,
-			L1Error:           c.l1Trace,
-			PrefetchIssued:    c.prefetchIssued,
-			PrefetchDropped:   c.prefetchDropped,
-			PrefetchCompleted: c.prefetchCompleted,
-			PrefetchUseful:    c.prefetchUseful,
-			DemandFetches:     c.demandFetches,
-			ZeroWaitRounds:    c.zeroWaitRounds,
-		}
-		res.Access.Merge(&c.access)
-		res.DemandAccess.Merge(&c.demandAccess)
-		res.QueueWait.Merge(&c.queueWait)
-		res.Lambda.Merge(&c.lambdaTrace)
-		res.L1Error.Merge(&c.l1Trace)
-		res.PrefetchCompleted += c.prefetchCompleted
-		res.PrefetchUseful += c.prefetchUseful
-	}
-	return res, nil
+	out, err := RunServers(cfg, Servers{N: 1})
+	return out.Result, err
 }
 
 // Comparison pairs a prefetching run with its no-prefetch baseline over the

@@ -3,9 +3,11 @@ package multiclient
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"testing"
 
 	"prefetch/internal/schedsrv"
+	"prefetch/internal/sweep"
 	"prefetch/internal/webgraph"
 )
 
@@ -195,7 +197,11 @@ func TestSweepClients(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	ns := []int{1, 2, 4}
-	a, err := SweepClients(cfg, ns, 2, 0)
+	axis, err := ClientsAxis(ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := Sweep(cfg, 2, 0, true, axis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,15 +209,33 @@ func TestSweepClients(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(a), len(ns))
 	}
 	for i, p := range a {
-		if p.Clients != ns[i] || p.Reps != 2 {
-			t.Errorf("point %d = (N=%d, reps=%d), want (N=%d, reps=2)", i, p.Clients, p.Reps, ns[i])
+		if p.Clients != ns[i] || p.Reps != 2 || p.Labels[0] != strconv.Itoa(ns[i]) {
+			t.Errorf("point %d = (N=%d, reps=%d, labels %v), want (N=%d, reps=2)", i, p.Clients, p.Reps, p.Labels, ns[i])
 		}
 		if want := int64(ns[i] * cfg.Rounds * 2); p.Access.N() != want {
 			t.Errorf("point %d merged %d access observations, want %d", i, p.Access.N(), want)
 		}
+		if p.Improvement.N() != 2 {
+			t.Errorf("point %d has %d improvement observations, want one per rep", i, p.Improvement.N())
+		}
+	}
+	// The baseline leg is the rep's own no-prefetch run (Compare at
+	// Seed+rep): rep 0 of the N=2 point reproduces a direct comparison.
+	direct := cfg
+	direct.Clients = ns[1]
+	cmp, err := Compare(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := Sweep(cfg, 1, 0, true, axis)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one[1].Access != cmp.Prefetch.Access || one[1].Improvement.Mean() != cmp.Improvement() {
+		t.Error("1-rep sweep point differs from a direct Compare at the same seed")
 	}
 	// The sweep is deterministic regardless of worker parallelism.
-	b, err := SweepClients(cfg, ns, 2, 1)
+	b, err := Sweep(cfg, 2, 1, true, axis)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +248,21 @@ func TestSweepClients(t *testing.T) {
 
 func TestSweepClientsBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepClients(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	empty, err := ClientsAxis(nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := SweepClients(cfg, []int{1, 0}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, empty); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
+	}
+	if _, err := ClientsAxis([]int{1, 0}); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero clients in axis: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepClients(cfg, []int{1}, 0, 0); !errors.Is(err, ErrBadConfig) {
+	one, err := ClientsAxis([]int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Sweep(cfg, 0, 0, true, one); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }
@@ -393,7 +425,7 @@ func TestSweepDisciplines(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	kinds := schedsrv.Kinds()
-	a, err := SweepDisciplines(cfg, kinds, 2, 0)
+	a, err := Sweep(cfg, 2, 0, true, DisciplineAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,14 +433,14 @@ func TestSweepDisciplines(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(a), len(kinds))
 	}
 	for i, p := range a {
-		if p.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
-			t.Errorf("point %d = (%s, N=%d, reps=%d)", i, p.Kind, p.Clients, p.Reps)
+		if p.Labels[0] != string(kinds[i]) || p.Config.Sched.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
+			t.Errorf("point %d = (%v, N=%d, reps=%d)", i, p.Labels, p.Clients, p.Reps)
 		}
 		if want := int64(cfg.Clients * cfg.Rounds * 2); p.Access.N() != want {
 			t.Errorf("point %d merged %d access observations, want %d", i, p.Access.N(), want)
 		}
 	}
-	b, err := SweepDisciplines(cfg, kinds, 2, 1)
+	b, err := Sweep(cfg, 2, 1, true, DisciplineAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,13 +453,13 @@ func TestSweepDisciplines(t *testing.T) {
 
 func TestSweepDisciplinesBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepDisciplines(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, true, DisciplineAxis(nil)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepDisciplines(cfg, []schedsrv.Kind{"lifo"}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, DisciplineAxis([]schedsrv.Kind{"lifo"})); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown kind: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepDisciplines(cfg, schedsrv.Kinds(), 0, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 0, 0, true, DisciplineAxis(schedsrv.Kinds())); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }

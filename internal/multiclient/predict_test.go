@@ -2,10 +2,12 @@ package multiclient
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"prefetch/internal/adaptive"
 	"prefetch/internal/predict"
+	"prefetch/internal/sweep"
 )
 
 // TestOracleReplaysDefault is the refactor's acceptance bar: the explicit
@@ -266,7 +268,7 @@ func TestSweepPredictors(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	kinds := predict.Kinds()
-	a, err := SweepPredictors(cfg, kinds, 2, 0)
+	a, err := Sweep(cfg, 2, 0, true, PredictorAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,8 +276,8 @@ func TestSweepPredictors(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(a), len(kinds))
 	}
 	for i, p := range a {
-		if p.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
-			t.Errorf("point %d = (%s, N=%d, reps=%d)", i, p.Kind, p.Clients, p.Reps)
+		if p.Labels[0] != string(kinds[i]) || p.Config.Predict.Kind != kinds[i] || p.Clients != cfg.Clients || p.Reps != 2 {
+			t.Errorf("point %d = (%v, N=%d, reps=%d)", i, p.Labels, p.Clients, p.Reps)
 		}
 		if want := int64(cfg.Clients * cfg.Rounds * 2); p.Access.N() != want || p.L1Error.N() != want {
 			t.Errorf("point %d merged %d access / %d L1 observations, want %d",
@@ -285,7 +287,7 @@ func TestSweepPredictors(t *testing.T) {
 	if a[0].L1Error.Max() != 0 {
 		t.Errorf("oracle point L1 max = %v, want 0", a[0].L1Error.Max())
 	}
-	b, err := SweepPredictors(cfg, kinds, 2, 1)
+	b, err := Sweep(cfg, 2, 1, true, PredictorAxis(kinds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,40 +300,52 @@ func TestSweepPredictors(t *testing.T) {
 
 func TestSweepPredictorsBadAxis(t *testing.T) {
 	cfg := testConfig()
-	if _, err := SweepPredictors(cfg, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, true, PredictorAxis(nil)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepPredictors(cfg, []predict.Kind{"lstm"}, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, true, PredictorAxis([]predict.Kind{"lstm"})); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown kind: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepPredictors(cfg, predict.Kinds(), 0, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 0, 0, true, PredictorAxis(predict.Kinds())); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
 }
 
-// TestSweepPredictorControllers covers the grid: controller-major order,
-// per-controller Pareto frontier non-empty, deterministic across worker
-// counts.
+// TestSweepPredictorControllers covers the controller × predictor grid:
+// controller-major order, no baseline leg, per-controller Pareto
+// frontier non-empty, deterministic across worker counts.
 func TestSweepPredictorControllers(t *testing.T) {
 	cfg := testConfig()
 	cfg.Rounds = 40
 	preds := []predict.Kind{predict.KindOracle, predict.KindDepGraph}
 	ctls := []adaptive.Kind{adaptive.KindStatic, adaptive.KindAIMD}
-	a, err := SweepPredictorControllers(cfg, preds, ctls, 2, 0)
-	if err != nil {
-		t.Fatal(err)
+	grid := func(workers int) []Point {
+		t.Helper()
+		pts, err := Sweep(cfg, 2, workers, false, ControllerAxis(ctls), PredictorAxis(preds))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pts
 	}
+	a := grid(0)
 	if len(a) != len(preds)*len(ctls) {
 		t.Fatalf("got %d points, want %d", len(a), len(preds)*len(ctls))
 	}
 	for ci, ck := range ctls {
-		frontier := 0
+		row := a[ci*len(preds) : (ci+1)*len(preds)]
 		for pi, pk := range preds {
-			p := a[ci*len(preds)+pi]
-			if p.Controller != ck || p.Predictor != pk {
-				t.Errorf("cell (%d,%d) = (%s,%s), want (%s,%s)", ci, pi, p.Controller, p.Predictor, ck, pk)
+			p := row[pi]
+			if want := []string{string(ck), string(pk)}; !reflect.DeepEqual(p.Labels, want) ||
+				p.Config.Adaptive.Kind != ck || p.Config.Predict.Kind != pk {
+				t.Errorf("cell (%d,%d) labels %v, want %v", ci, pi, p.Labels, want)
 			}
-			if p.Pareto {
+			if p.Improvement.N() != 0 {
+				t.Errorf("cell (%d,%d) has Improvement observations in a baseline-free sweep", ci, pi)
+			}
+		}
+		frontier := 0
+		for _, on := range ParetoFrontier(row) {
+			if on {
 				frontier++
 			}
 		}
@@ -339,12 +353,9 @@ func TestSweepPredictorControllers(t *testing.T) {
 			t.Errorf("controller %s has an empty Pareto frontier", ck)
 		}
 	}
-	b, err := SweepPredictorControllers(cfg, preds, ctls, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := grid(1)
 	for i := range a {
-		if a[i].DemandAccess.Mean() != b[i].DemandAccess.Mean() || a[i].Pareto != b[i].Pareto {
+		if a[i].DemandAccess.Mean() != b[i].DemandAccess.Mean() || a[i].SpecThroughput != b[i].SpecThroughput {
 			t.Errorf("cell %d differs across worker counts", i)
 		}
 	}
@@ -354,41 +365,38 @@ func TestSweepPredictorControllersBadAxis(t *testing.T) {
 	cfg := testConfig()
 	preds := []predict.Kind{predict.KindOracle}
 	ctls := []adaptive.Kind{adaptive.KindStatic}
-	if _, err := SweepPredictorControllers(cfg, nil, ctls, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty predictor axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, false, ControllerAxis(ctls), PredictorAxis(nil)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty predictor axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepPredictorControllers(cfg, preds, nil, 1, 0); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("empty controller axis: err = %v, want ErrBadConfig", err)
+	if _, err := Sweep(cfg, 1, 0, false, ControllerAxis(nil), PredictorAxis(preds)); !errors.Is(err, sweep.ErrBadSweep) {
+		t.Errorf("empty controller axis: err = %v, want ErrBadSweep", err)
 	}
-	if _, err := SweepPredictorControllers(cfg, preds, ctls, 0, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 0, 0, false, ControllerAxis(ctls), PredictorAxis(preds)); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("zero reps: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := SweepPredictorControllers(cfg, []predict.Kind{"lstm"}, ctls, 1, 0); !errors.Is(err, ErrBadConfig) {
+	if _, err := Sweep(cfg, 1, 0, false, ControllerAxis(ctls), PredictorAxis([]predict.Kind{"lstm"})); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown predictor: err = %v, want ErrBadConfig", err)
 	}
 }
 
 // TestMarkPareto pins the dominance logic on a hand-built group.
 func TestMarkPareto(t *testing.T) {
-	mk := func(demand, spec float64) PredictorControllerPoint {
-		var p PredictorControllerPoint
+	mk := func(demand, spec float64) Point {
+		var p Point
 		p.DemandAccess.Add(demand)
 		p.SpecThroughput.Add(spec)
 		return p
 	}
-	group := []PredictorControllerPoint{
+	group := []Point{
 		mk(1, 5),   // frontier: best latency
 		mk(2, 9),   // frontier: best throughput
 		mk(3, 7),   // dominated by (2,9)
 		mk(2, 9),   // duplicate of frontier point: also non-dominated
 		mk(1.5, 6), // frontier: between (1,5) and (2,9)
 	}
-	markPareto(group)
 	want := []bool{true, true, false, true, true}
-	for i, p := range group {
-		if p.Pareto != want[i] {
-			t.Errorf("point %d Pareto = %v, want %v", i, p.Pareto, want[i])
-		}
+	if got := ParetoFrontier(group); !reflect.DeepEqual(got, want) {
+		t.Errorf("ParetoFrontier = %v, want %v", got, want)
 	}
 }
 

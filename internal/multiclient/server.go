@@ -5,105 +5,151 @@ import (
 	"math"
 
 	"prefetch/internal/cache"
-	"prefetch/internal/core"
-	"prefetch/internal/eventq"
-	"prefetch/internal/netsim"
 	"prefetch/internal/obs"
 	"prefetch/internal/predict"
+	"prefetch/internal/rng"
 	"prefetch/internal/schedsrv"
-	"prefetch/internal/webgraph"
 )
 
-// request is one retrieval submitted to the shared server, demand or
-// speculative, tagged with the client round that issued it so stale
-// prefetch completions can be recognised. It rides through the scheduling
-// subsystem as the opaque Tag of a schedsrv.Request — as a pooled pointer,
-// so tagging does not box a fresh copy per submission. The node is
-// recycled when the transfer's lifecycle ends (completion callback done,
-// or refused by admission).
+// request is one retrieval submitted to a server, demand or speculative,
+// tagged with the client round that issued it so stale prefetch
+// completions can be recognised. It rides through the scheduling
+// subsystem as the opaque Tag of a schedsrv.Request — as a pooled
+// pointer, so tagging does not box a fresh copy per submission. The node
+// is recycled when the transfer's lifecycle ends (completion callback
+// done, or refused by admission) — under a failure schedule only once the
+// server's outstanding ledger lets go of it.
 type request struct {
 	client   *client
 	page     int
 	duration float64 // origin service time (before any server-cache hit)
 	demand   bool
+	done     bool // completed; the ledger recycles it on its next compaction
 	round    int
 	prob     float64 // plan-time candidate probability (speculative only)
 }
 
-// server is the shared bottleneck every client contends for. Since PR 2 it
-// owns only the storage side — the optional shared server-side cache that
-// shortens the service of pages it holds — and delegates every queueing,
-// ordering, shaping and admission decision to a schedsrv.Scheduler, whose
-// discipline is chosen by Config.Sched. The seed behaviour (one FIFO queue
-// over `concurrency` slots, demand and prefetch traffic indistinguishable)
-// is schedsrv.KindFIFO and replays the seed's timelines bit for bit.
+// server is one of the run's servers: the bottleneck every request
+// routed to it contends for. It owns the storage side — the optional
+// server-side cache that shortens the service of pages it holds, and the
+// cache warmer — and delegates every queueing, ordering, shaping and
+// admission decision to a schedsrv.Scheduler, whose discipline is chosen
+// by Config.Sched. The seed behaviour (one FIFO queue over `concurrency`
+// slots, demand and prefetch traffic indistinguishable) is
+// schedsrv.KindFIFO.
+//
+// Under a failure schedule a server also fails and recovers: a failure
+// loses the scheduler backlog, every in-flight transfer and the cache; a
+// recovery installs a fresh scheduler and a cold cache. The aggregate
+// predictor deliberately lives outside the fail/recover cycle: it models
+// durable popularity state kept off the serving path.
 type server struct {
-	sched     *schedsrv.Scheduler
-	hitFactor float64
-	cache     *cache.Cache // nil ⇒ no shared cache
+	id  int
+	run *run
 
-	clock *netsim.Clock
-	tr    obs.Tracer // normalised by Run; nil = tracing disabled
-
-	// reqPool recycles the tag records riding through the scheduler, and
-	// solver is the one branch-and-bound scratch space every client's
-	// plan() shares — the event loop runs clients one at a time and each
-	// plan is consumed before the next Solve, so a single solver is safe.
-	reqPool eventq.FreeList[request]
-	solver  *core.Solver
-	planBuf []core.Item
-	sorter  itemSorter
+	sched *schedsrv.Scheduler
+	cache *cache.Cache // nil ⇒ no server cache (or down)
+	tr    obs.Tracer   // replica-stamped in routed runs; nil = disabled
 
 	served    int64
 	cacheHits int64
 
 	// Server-side prefetching (Config.WarmServerCache): the warmer
-	// pre-admits the shared aggregate model's top-probability pages into
-	// the cache on a per-viewing-time cadence, so population-hot pages
-	// are fast before any client's traffic demands them.
+	// pre-admits this server's aggregate model's top-probability pages
+	// into the cache on a per-viewing-time cadence, so population-hot
+	// pages are fast before any client's traffic demands them.
 	agg          *predict.Aggregate
-	site         *webgraph.Site
 	warmEvery    float64      // minimum simulated time between warm passes
 	warmedAt     float64      // time of the last warm pass
 	warmPages    map[int]bool // resident pages placed by the warmer, not yet evicted
 	warmInserted int64
 	warmHits     int64
+
+	// Failure state. ledger holds every accepted transfer in issue order,
+	// so a failure can enumerate what it lost; ledgerDone counts its
+	// completed entries, dropped (and recycled) in batches.
+	up         bool
+	failRand   *rng.Source
+	ledger     []*request
+	ledgerDone int
+	downSince  float64
+	downtime   float64
+	fails      int
+	recovers   int
+	lost       int64
+
+	// Scheduler counters folded across incarnations. folded marks that
+	// the current scheduler's counters are already in the accumulators
+	// (it failed and nothing replaced it yet).
+	accBusy                                      float64
+	accSpec, accPreempt, accDropped, accDeferred int64
+	folded                                       bool
 }
 
-func newServer(clock *netsim.Clock, cfg Config, tr obs.Tracer) (*server, error) {
-	scfg := cfg.Sched
-	scfg.Concurrency = cfg.ServerConcurrency
-	sched, err := schedsrv.New(clock, scfg)
-	if err != nil {
+// replicaTracer stamps every event a server's machinery emits with the
+// server's 1-based ordinal, so one routed trace can be rolled up per
+// replica. Events already stamped (none today) are left alone.
+type replicaTracer struct {
+	inner obs.Tracer
+	id    int // 0-based server id
+}
+
+func (t replicaTracer) Enabled() bool { return true }
+
+func (t replicaTracer) Emit(ev obs.Event) {
+	if ev.Replica == 0 {
+		ev.Replica = t.id + 1
+	}
+	t.inner.Emit(ev)
+}
+
+func newServer(id int, r *run) (*server, error) {
+	s := &server{id: id, run: r, tr: r.tr, up: true}
+	if r.router != nil && r.tr != nil {
+		s.tr = replicaTracer{inner: r.tr, id: id}
+	}
+	if err := s.build(); err != nil {
 		return nil, err
 	}
-	sched.Tracer = tr
-	s := &server{
-		sched:     sched,
-		hitFactor: cfg.ServerHitFactor,
-		clock:     clock,
-		tr:        tr,
-		solver:    core.NewSolver(),
+	return s, nil
+}
+
+// ordinal is the server's 1-based id, the form pending pages and trace
+// stamps use (0 means none).
+func (s *server) ordinal() int { return s.id + 1 }
+
+// build installs a fresh scheduler and (when configured) a fresh empty
+// cache — the state one incarnation of the server owns.
+func (s *server) build() error {
+	cfg := s.run.cfg
+	scfg := cfg.Sched
+	scfg.Concurrency = cfg.ServerConcurrency
+	sched, err := schedsrv.New(&s.run.clock, scfg)
+	if err != nil {
+		return err
 	}
+	sched.Tracer = s.tr
+	sched.ServiceTime = s.serviceTime
+	sched.Done = s.done
+	s.sched = sched
+	s.cache = nil
 	if cfg.ServerCacheSlots > 0 {
 		c, err := cache.New(cfg.ServerCacheSlots)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.cache = c
 	}
-	sched.ServiceTime = s.serviceTime
-	sched.Done = s.done
-	return s, nil
+	return nil
 }
 
 // enqueue submits a request to the scheduling subsystem. It reports false
 // when admission control dropped a speculative request: the transfer will
 // never happen and no completion callback will fire. The tag node is
 // recycled immediately on a drop (the scheduler has already detached it)
-// and otherwise lives until done releases it.
+// and otherwise lives until done (or a failure) releases it.
 func (s *server) enqueue(r request) bool {
-	rq := s.reqPool.Get()
+	rq := s.run.reqPool.Get()
 	*rq = r
 	if !s.sched.Submit(schedsrv.Request{
 		Client:  r.client.id,
@@ -113,30 +159,42 @@ func (s *server) enqueue(r request) bool {
 		Tag:     rq,
 	}) {
 		*rq = request{} // drop the client pointer before the pool keeps the node
-		s.reqPool.Put(rq)
+		s.run.reqPool.Put(rq)
 		return false
+	}
+	if s.run.failEvery > 0 {
+		s.ledger = append(s.ledger, rq)
 	}
 	return true
 }
 
-// promote tells the scheduler the demand for a page arrived while its
-// speculative transfer is still outstanding, so disciplines that separate
-// the classes stop treating it as deferrable speculation.
-func (s *server) promote(clientID, page int) bool {
-	return s.sched.Promote(clientID, page)
-}
-
-// snapshot feeds the scheduler's congestion state back to adaptive
-// clients. Reading it never mutates the scheduler.
-func (s *server) snapshot(now float64) schedsrv.Feedback {
-	return s.sched.Snapshot(now)
+// feedback is the congestion snapshot adaptive clients observe. The
+// cumulative counters span incarnations, so a controller watching
+// deferral deltas never sees them jump backwards after a recovery.
+// Reading it never mutates the scheduler.
+func (s *server) feedback(now float64) schedsrv.Feedback {
+	fb := s.sched.Snapshot(now)
+	if s.folded {
+		// Down server: the current (failed) scheduler's totals are
+		// already inside the accumulators — replacing instead of adding
+		// avoids counting them twice.
+		fb.DroppedTotal = s.accDropped
+		fb.DeferredTotal = s.accDeferred
+		fb.PreemptionsTotal = s.accPreempt
+	} else {
+		fb.DroppedTotal += s.accDropped
+		fb.DeferredTotal += s.accDeferred
+		fb.PreemptionsTotal += s.accPreempt
+	}
+	return fb
 }
 
 // serviceTime is the scheduler's service-start hook: a server-cache hit
-// means the page is already at the server, so only the hitFactor fraction
-// of the origin time is spent. Preemption restarts re-resolve the cache
-// (the second attempt's timing is real) but count as neither a new
-// request nor a new hit — served and cacheHits count logical requests.
+// means the page is already at the server, so only the ServerHitFactor
+// fraction of the origin time is spent. Preemption restarts re-resolve
+// the cache (the second attempt's timing is real) but count as neither a
+// new request nor a new hit — served and cacheHits count logical
+// requests.
 func (s *server) serviceTime(r *schedsrv.Request) float64 {
 	first := r.Attempt() == 1
 	if first {
@@ -145,7 +203,7 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 	service := r.Service
 	if s.cache != nil && s.cache.Contains(r.Page) {
 		s.cache.RecordAccess(r.Page)
-		service *= s.hitFactor
+		service *= s.run.cfg.ServerHitFactor
 		if first {
 			s.cacheHits++
 			warm := s.warmPages[r.Page]
@@ -153,7 +211,7 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 				s.warmHits++
 			}
 			if s.tr != nil {
-				ev := obs.Ev(s.clock.Now(), obs.KindCacheHit, r.Client)
+				ev := obs.Ev(s.run.clock.Now(), obs.KindCacheHit, r.Client)
 				ev.Page = r.Page
 				if warm {
 					ev.Note = "warm"
@@ -170,8 +228,9 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 // promoted class — attribution follows why the transfer was requested.
 func (s *server) done(r *schedsrv.Request, service, waited float64) {
 	req := r.Tag.(*request)
+	now := s.run.clock.Now()
 	if s.tr != nil {
-		ev := obs.Ev(s.clock.Now(), obs.KindTransferDone, req.client.id)
+		ev := obs.Ev(now, obs.KindTransferDone, req.client.id)
 		ev.Round = req.round
 		ev.Page = req.page
 		ev.Demand = req.demand
@@ -182,41 +241,65 @@ func (s *server) done(r *schedsrv.Request, service, waited float64) {
 	if s.cache != nil {
 		s.insertCache(req.page, req.duration)
 	}
+	s.run.lastT = now
 	req.client.onTransferDone(*req, waited)
-	*req = request{} // drop the client pointer before the pool keeps the node
-	s.reqPool.Put(req)
-}
-
-// enableWarming arms the server-side prefetcher: agg is the run's shared
-// aggregate model and the warm cadence is one mean viewing time. A no-op
-// configuration-wise unless Config.WarmServerCache is set (Validate
-// guarantees the cache and the shared predictor exist when it is).
-func (s *server) enableWarming(cfg Config, agg *predict.Aggregate, site *webgraph.Site) {
-	if !cfg.WarmServerCache {
+	if s.run.failEvery > 0 {
+		req.done = true
+		s.ledgerDone++
+		if len(s.ledger) >= 64 && s.ledgerDone*2 >= len(s.ledger) {
+			s.compactLedger()
+		}
 		return
 	}
+	*req = request{} // drop the client pointer before the pool keeps the node
+	s.run.reqPool.Put(req)
+}
+
+// compactLedger drops the completed entries from the outstanding ledger,
+// keeping issue order, and recycles their nodes.
+func (s *server) compactLedger() {
+	live := s.ledger[:0]
+	for _, req := range s.ledger {
+		if !req.done {
+			live = append(live, req)
+			continue
+		}
+		*req = request{}
+		s.run.reqPool.Put(req)
+	}
+	for i := len(live); i < len(s.ledger); i++ {
+		s.ledger[i] = nil
+	}
+	s.ledger = live
+	s.ledgerDone = 0
+}
+
+// enableWarming arms the server-side prefetcher from the server's
+// aggregate model; the warm cadence is one mean viewing time. The run
+// enables it only when Config.WarmServerCache is set (Validate guarantees
+// the cache and the shared predictor exist then).
+func (s *server) enableWarming() {
 	// maybeWarm fires whenever now >= warmedAt+warmEvery, so a zero (or
 	// NaN) cadence would degenerate into warming on every event (or
 	// never). Config.Validate rejects such MeanViewing values; a config
 	// path that bypasses it is a simulator bug.
-	if !(cfg.MeanViewing > 0) {
-		panic(fmt.Sprintf("multiclient: warm cadence %v (need > 0; config not validated?)", cfg.MeanViewing))
+	mean := s.run.cfg.MeanViewing
+	if !(mean > 0) {
+		panic(fmt.Sprintf("multiclient: warm cadence %v (need > 0; config not validated?)", mean))
 	}
-	s.agg = agg
-	s.site = site
-	s.warmEvery = cfg.MeanViewing
+	s.warmEvery = mean
 	s.warmedAt = math.Inf(-1)
 	s.warmPages = map[int]bool{}
 }
 
-// maybeWarm runs one warm pass if warming is armed and the cadence has
-// elapsed: the aggregate model's current top pages (up to the cache
-// capacity) are pre-admitted, evicting an LRU victim only when the victim
-// is strictly colder in the pooled popularity estimate — so warming
-// converges on the hot set instead of thrashing against demand-warmed
-// entries.
+// maybeWarm runs one warm pass if warming is armed, the server is up and
+// the cadence has elapsed: the aggregate model's current top pages (up to
+// the cache capacity) are pre-admitted, evicting an LRU victim only when
+// the victim is strictly colder in the pooled popularity estimate — so
+// warming converges on the hot set instead of thrashing against
+// demand-warmed entries.
 func (s *server) maybeWarm(now float64) {
-	if s.agg == nil || now < s.warmedAt+s.warmEvery {
+	if s.warmPages == nil || !s.up || now < s.warmedAt+s.warmEvery {
 		return
 	}
 	s.warmedAt = now
@@ -235,7 +318,7 @@ func (s *server) maybeWarm(now float64) {
 			delete(s.warmPages, victim)
 			s.emitCache(obs.KindCacheEvict, victim)
 		}
-		if err := s.cache.Insert(page, s.site.Pages[page].Retrieval); err != nil {
+		if err := s.cache.Insert(page, s.run.site.Pages[page].Retrieval); err != nil {
 			panic(err)
 		}
 		s.warmPages[page] = true
@@ -250,7 +333,7 @@ func (s *server) emitCache(kind obs.Kind, page int) {
 	if s.tr == nil {
 		return
 	}
-	ev := obs.Ev(s.clock.Now(), kind, obs.ServerClient)
+	ev := obs.Ev(s.run.clock.Now(), kind, obs.ServerClient)
 	ev.Page = page
 	s.tr.Emit(ev)
 }
@@ -290,4 +373,134 @@ func insertLRU(c *cache.Cache, id int, retrieval float64) (victim int, evicted b
 		panic(err)
 	}
 	return victim, evicted
+}
+
+// foldSched folds the current scheduler's counters into the
+// cross-incarnation accumulators.
+func (s *server) foldSched() {
+	s.accBusy += s.sched.BusyTime()
+	s.accSpec += s.sched.SpecCompleted()
+	s.accPreempt += s.sched.Preemptions()
+	s.accDropped += s.sched.Dropped()
+	s.accDeferred += s.sched.Deferred()
+}
+
+// scheduleFailure draws this incarnation's time-to-failure and puts it
+// on the clock.
+func (s *server) scheduleFailure(now float64) {
+	gap := s.failRand.Exp(1 / s.run.failEvery)
+	s.run.clock.Schedule(now+gap, s.fail)
+}
+
+// fail destroys the server: the scheduler's backlog and in-flight
+// transfers are lost, the cache empties, and every issuing client is
+// repaired — pending prefetches vanish, blocked demands re-route. The
+// aggregate model survives. Churn stops once the workload has finished
+// (the check makes the stray post-workload failure draw a no-op, so the
+// run drains).
+func (s *server) fail() {
+	r := s.run
+	if r.active == 0 {
+		return
+	}
+	now := r.clock.Now()
+	lostNow := s.sched.Fail()
+	s.foldSched()
+	s.folded = true
+	s.up = false
+	s.downSince = now
+	s.fails++
+	s.lost += int64(lostNow)
+	r.lastT = now
+
+	// Everything the cache held dies with the machine; warming restarts
+	// from the (surviving) aggregate after recovery.
+	s.cache = nil
+	if s.warmPages != nil {
+		s.warmPages = map[int]bool{}
+		s.warmedAt = math.Inf(-1)
+	}
+
+	outstanding := make([]request, 0, lostNow)
+	for _, req := range s.ledger {
+		if !req.done {
+			outstanding = append(outstanding, *req)
+		}
+		*req = request{}
+		r.reqPool.Put(req)
+	}
+	s.ledger = nil
+	s.ledgerDone = 0
+	if len(outstanding) != lostNow {
+		panic(fmt.Sprintf("multiclient: server %d ledger has %d outstanding, scheduler lost %d", s.id, len(outstanding), lostNow))
+	}
+
+	if r.tr != nil {
+		ev := obs.Ev(now, obs.KindReplicaFail, obs.ServerClient)
+		ev.Replica = s.ordinal()
+		ev.Queued = lostNow
+		r.tr.Emit(ev)
+	}
+	for _, req := range outstanding {
+		r.lost(req, s)
+	}
+	r.clock.After(r.recoverAfter, s.recover)
+}
+
+// recover rebuilds the server with a fresh scheduler and a cold cache,
+// drains any demands parked during a total outage, and draws the next
+// failure.
+func (s *server) recover() {
+	r := s.run
+	now := r.clock.Now()
+	s.downtime += now - s.downSince
+	s.recovers++
+	if err := s.build(); err != nil {
+		// The same configuration built the first incarnation; a failure
+		// here is a simulator bug.
+		panic(err)
+	}
+	s.folded = false
+	s.up = true
+	if r.active == 0 {
+		// Workload already over: close the downtime window but leave
+		// Elapsed and the failure schedule alone.
+		return
+	}
+	r.lastT = now
+	if r.tr != nil {
+		ev := obs.Ev(now, obs.KindReplicaRecover, obs.ServerClient)
+		ev.Replica = s.ordinal()
+		r.tr.Emit(ev)
+	}
+	r.drainParked()
+	s.scheduleFailure(now)
+}
+
+// result snapshots the server's totals at the end of the run.
+func (s *server) result(elapsed float64) ServerResult {
+	if !s.folded {
+		s.foldSched()
+		s.folded = true
+	}
+	down := s.downtime
+	if !s.up && s.downSince < elapsed {
+		down += elapsed - s.downSince
+	}
+	return ServerResult{
+		Replica:          s.id,
+		Requests:         s.served,
+		CacheHits:        s.cacheHits,
+		Busy:             s.accBusy,
+		SpecCompleted:    s.accSpec,
+		Preemptions:      s.accPreempt,
+		PrefetchDropped:  s.accDropped,
+		PrefetchDeferred: s.accDeferred,
+		WarmInserted:     s.warmInserted,
+		WarmHits:         s.warmHits,
+		Failures:         s.fails,
+		Recoveries:       s.recovers,
+		Lost:             s.lost,
+		Downtime:         down,
+	}
 }

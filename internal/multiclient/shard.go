@@ -5,22 +5,22 @@ package multiclient
 //
 // The simulation splits into two phases. Phase A (this file) precomputes
 // every client's workload script — viewing times, the page trace, and the
-// full ranked candidate list the planner would rank each round — in S
-// parallel shard workers, each owning a contiguous block of client ids.
-// Phase B (client.go / multiclient.go) is the unchanged sequential event
+// full ranked candidate list the planner would rank each round — in one
+// parallel shard worker per available CPU, each owning a contiguous block
+// of client ids. Phase B (client.go / engine.go) is the sequential event
 // loop: it consumes the scripts in clock order, which is exactly the
 // canonical (time, client-id) merge at every server-arbitration point.
 //
-// Why this is bit-for-bit deterministic for ANY shard or worker count:
+// Why this is bit-for-bit deterministic for ANY worker count:
 // client i's random streams are derived as pure functions of (seed, i)
 // (rng.Derive with the "client/i" and "client/i/drift" labels), so its
 // script never depends on which worker computes it or in what order;
 // workers write disjoint slice elements and share only the immutable
 // site; and everything order-sensitive — server queueing, admission,
 // adaptive-λ feedback, cache state — stays in Phase B on the one clock.
-// Shards only change wall-clock time, never a single byte of results or
-// decision traces; the extended determinism gate (shard_test.go, CI)
-// diffs shards ∈ {1,4,16} × GOMAXPROCS ∈ {1,8} to hold the line.
+// The worker count only changes wall-clock time, never a single byte of
+// results or decision traces; the determinism gate (shard_test.go, CI)
+// diffs GOMAXPROCS ∈ {1,8} to hold the line.
 //
 // What can be scripted: every per-client prediction source (oracle,
 // depgraph, ppm, ppm-escape, decay, mixture — their training stream is
@@ -86,9 +86,9 @@ func stationaryOracle(cfg Config) bool {
 		(cfg.Predict.Kind == "" || cfg.Predict.Kind == predict.KindOracle)
 }
 
-// GenerateScripts runs Phase A: cfg.Shards parallel workers (0 = one per
-// available CPU) script disjoint client-id blocks. site is the generated
-// site the run browses.
+// GenerateScripts runs Phase A: one parallel worker per available CPU
+// (GOMAXPROCS, at most one per client) scripts a disjoint client-id
+// block. site is the generated site the run browses.
 func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -105,10 +105,7 @@ func GenerateScripts(cfg Config, site *webgraph.Site) (*Scripts, error) {
 		sc.Table = buildRankedTable(site, cfg.FollowProb)
 	}
 
-	workers := cfg.Shards
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > cfg.Clients {
 		workers = cfg.Clients
 	}

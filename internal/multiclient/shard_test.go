@@ -3,6 +3,7 @@ package multiclient
 import (
 	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"prefetch/internal/adaptive"
@@ -95,23 +96,26 @@ func TestScriptedMatchesInline(t *testing.T) {
 	}
 }
 
-// TestShardCountIndependence pins the tentpole contract: the shard count
-// is a parallelism hint and nothing else. Results and traces must be
-// byte-identical across shards ∈ {0 (auto), 1, 4, 16}.
+// TestShardCountIndependence pins the Phase-A contract: the shard worker
+// count — one per GOMAXPROCS, at most one per client — is a parallelism
+// detail and nothing else. Results and traces must be byte-identical for
+// GOMAXPROCS ∈ {1, 2, 4, 16}, which splits the six clients into 1, 2, 4
+// and 6 shards.
 func TestShardCountIndependence(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for name, cfg := range shardConfigs() {
 		t.Run(name, func(t *testing.T) {
-			cfg.Shards = 1
+			runtime.GOMAXPROCS(1)
 			want, wantTrace := runTraced(t, cfg)
-			for _, shards := range []int{0, 4, 16} {
-				cfg.Shards = shards
+			for _, procs := range []int{2, 4, 16} {
+				runtime.GOMAXPROCS(procs)
 				got, gotTrace := runTraced(t, cfg)
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("shards=%d: result differs from shards=1", shards)
+					t.Errorf("GOMAXPROCS=%d: result differs from GOMAXPROCS=1", procs)
 				}
 				if !bytes.Equal(gotTrace, wantTrace) {
-					t.Errorf("shards=%d: trace differs from shards=1 (%d vs %d bytes)",
-						shards, len(gotTrace), len(wantTrace))
+					t.Errorf("GOMAXPROCS=%d: trace differs from GOMAXPROCS=1 (%d vs %d bytes)",
+						procs, len(gotTrace), len(wantTrace))
 				}
 			}
 		})
@@ -129,8 +133,6 @@ func TestSharedPredictorStaysInline(t *testing.T) {
 	}
 	cfg.Clients = 4
 	cfg.Rounds = 20
-	// The inline path still honours shard-count independence trivially.
-	cfg.Shards = 16
 	if _, err := Run(cfg); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -147,12 +147,8 @@ func (p *Point) fold(cmp Comparison, baseline bool) {
 // estimate; without it only the prefetch leg runs. Every combination
 // is validated before any simulation starts, and tasks derive all
 // randomness from their own (seed, client) pairs, so the result is
-// independent of worker scheduling.
-//
-// The per-axis entry points (SweepClients, SweepDisciplines,
-// SweepControllers, SweepPredictors, SweepPredictorControllers) are
-// thin wrappers over this engine, as is the fleet's router×replicas
-// sweep (package fleet).
+// independent of worker scheduling. The fleet's router×replicas sweep
+// (package fleet) runs on the same grid machinery.
 func Sweep(cfg Config, reps, workers int, baseline bool, axes ...Axis) ([]Point, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -186,124 +182,6 @@ func Sweep(cfg Config, reps, workers int, baseline bool, axes ...Axis) ([]Point,
 	return points, nil
 }
 
-// SweepPoint aggregates the seed replications at one client count.
-type SweepPoint struct {
-	Clients        int
-	Reps           int
-	Access         stats.Accumulator // every round of every rep merged
-	DemandAccess   stats.Accumulator // every fetching round of every rep merged
-	QueueWait      stats.Accumulator // every server transfer of every rep merged
-	Utilization    stats.Accumulator // one observation per rep
-	Improvement    stats.Accumulator // one aggregate improvement per rep
-	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
-}
-
-// SweepClients sweeps the client count over ns, replicating each point with
-// reps derived seeds (rep r uses master seed cfg.Seed + r), in parallel via
-// the sweep worker pool. Each task runs both the prefetching configuration
-// and its no-prefetch baseline so every point carries an access-improvement
-// estimate. Tasks derive all randomness from their own (seed, client) pairs,
-// so the result is independent of worker scheduling.
-//
-// Legacy wrapper: new code should call Sweep with a ClientsAxis and read
-// the generic Points.
-func SweepClients(cfg Config, ns []int, reps, workers int) ([]SweepPoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(ns) == 0 {
-		return nil, fmt.Errorf("%w: empty client-count axis", ErrBadConfig)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("%w: %d replications", ErrBadConfig, reps)
-	}
-	axis, err := ClientsAxis(ns)
-	if err != nil {
-		return nil, err
-	}
-	pts, err := Sweep(cfg, reps, workers, true, axis)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]SweepPoint, len(pts))
-	for i, p := range pts {
-		points[i] = SweepPoint{
-			Clients:        ns[i],
-			Reps:           reps,
-			Access:         p.Access,
-			DemandAccess:   p.DemandAccess,
-			QueueWait:      p.QueueWait,
-			Utilization:    p.Utilization,
-			Improvement:    p.Improvement,
-			SpecThroughput: p.SpecThroughput,
-		}
-	}
-	return points, nil
-}
-
-// DisciplinePoint aggregates the seed replications of one scheduling
-// discipline at a fixed client count.
-type DisciplinePoint struct {
-	Kind    schedsrv.Kind
-	Clients int
-	Reps    int
-
-	Access         stats.Accumulator // every round of every rep merged
-	DemandAccess   stats.Accumulator // every fetching round merged
-	QueueWait      stats.Accumulator // every server transfer merged
-	Utilization    stats.Accumulator // one observation per rep
-	Improvement    stats.Accumulator // one aggregate improvement per rep
-	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
-
-	Preemptions      int64 // summed over reps
-	PrefetchDropped  int64
-	PrefetchDeferred int64
-}
-
-// SweepDisciplines runs the identical workload (cfg.Clients sessions,
-// seed-replicated like SweepClients) under each scheduling discipline in
-// kinds, preserving every non-Kind field of cfg.Sched (weights, shaping
-// rate, admission threshold, preemption flag — the latter only applies
-// where valid). Because client workloads derive purely from (seed, id),
-// every discipline faces the same browsing sessions: the sweep isolates
-// how the server's arbitration policy alone moves demand latency and
-// speculative throughput.
-//
-// Legacy wrapper: new code should call Sweep with a DisciplineAxis.
-func SweepDisciplines(cfg Config, kinds []schedsrv.Kind, reps, workers int) ([]DisciplinePoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("%w: empty discipline axis", ErrBadConfig)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("%w: %d replications", ErrBadConfig, reps)
-	}
-	pts, err := Sweep(cfg, reps, workers, true, DisciplineAxis(kinds))
-	if err != nil {
-		return nil, err
-	}
-	points := make([]DisciplinePoint, len(pts))
-	for i, p := range pts {
-		points[i] = DisciplinePoint{
-			Kind:             kinds[i],
-			Clients:          cfg.Clients,
-			Reps:             reps,
-			Access:           p.Access,
-			DemandAccess:     p.DemandAccess,
-			QueueWait:        p.QueueWait,
-			Utilization:      p.Utilization,
-			Improvement:      p.Improvement,
-			SpecThroughput:   p.SpecThroughput,
-			Preemptions:      p.Preemptions,
-			PrefetchDropped:  p.PrefetchDropped,
-			PrefetchDeferred: p.PrefetchDeferred,
-		}
-	}
-	return points, nil
-}
-
 // schedFor swaps the discipline kind into a scheduling config, keeping
 // kind-specific options only where they are valid.
 func schedFor(base schedsrv.Config, kind schedsrv.Kind) schedsrv.Config {
@@ -315,235 +193,21 @@ func schedFor(base schedsrv.Config, kind schedsrv.Kind) schedsrv.Config {
 	return c
 }
 
-// ControllerPoint aggregates the seed replications of one adaptive λ
-// controller at a fixed client count and scheduling discipline.
-type ControllerPoint struct {
-	Kind    adaptive.Kind
-	Clients int
-	Reps    int
-
-	Access         stats.Accumulator // every round of every rep merged
-	DemandAccess   stats.Accumulator // every fetching round merged
-	QueueWait      stats.Accumulator // every server transfer merged
-	Lambda         stats.Accumulator // every planned round's λ merged
-	Utilization    stats.Accumulator // one observation per rep
-	Improvement    stats.Accumulator // one aggregate improvement per rep
-	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
-
-	Preemptions      int64 // summed over reps
-	PrefetchIssued   int64
-	PrefetchDropped  int64
-	PrefetchDeferred int64
-}
-
-// SweepControllers runs the identical workload (cfg.Clients sessions,
-// seed-replicated like SweepClients) under each λ controller in kinds,
-// preserving every non-Kind field of cfg.Adaptive (λ0, setpoints, gains)
-// and the whole scheduling config. Client workloads derive purely from
-// (seed, id) and controllers consume no randomness, so every controller
-// faces the same browsing sessions: the sweep isolates how the
-// speculation-control policy alone moves demand latency, speculative
-// traffic and the λ trajectory.
-//
-// Legacy wrapper: new code should call Sweep with a ControllerAxis.
-func SweepControllers(cfg Config, kinds []adaptive.Kind, reps, workers int) ([]ControllerPoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("%w: empty controller axis", ErrBadConfig)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("%w: %d replications", ErrBadConfig, reps)
-	}
-	pts, err := Sweep(cfg, reps, workers, true, ControllerAxis(kinds))
-	if err != nil {
-		return nil, err
-	}
-	points := make([]ControllerPoint, len(pts))
-	for i, p := range pts {
-		points[i] = ControllerPoint{
-			Kind:             kinds[i],
-			Clients:          cfg.Clients,
-			Reps:             reps,
-			Access:           p.Access,
-			DemandAccess:     p.DemandAccess,
-			QueueWait:        p.QueueWait,
-			Lambda:           p.Lambda,
-			Utilization:      p.Utilization,
-			Improvement:      p.Improvement,
-			SpecThroughput:   p.SpecThroughput,
-			Preemptions:      p.Preemptions,
-			PrefetchIssued:   p.PrefetchIssued,
-			PrefetchDropped:  p.PrefetchDropped,
-			PrefetchDeferred: p.PrefetchDeferred,
-		}
-	}
-	return points, nil
-}
-
-// PredictorPoint aggregates the seed replications of one prediction
-// source at a fixed client count, discipline and controller.
-type PredictorPoint struct {
-	Kind    predict.Kind
-	Clients int
-	Reps    int
-
-	Access         stats.Accumulator // every round of every rep merged
-	DemandAccess   stats.Accumulator // every fetching round merged
-	QueueWait      stats.Accumulator // every server transfer merged
-	L1Error        stats.Accumulator // every planned round's prediction L1 error merged
-	Utilization    stats.Accumulator // one observation per rep
-	Improvement    stats.Accumulator // one aggregate improvement per rep
-	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
-	HitRatio       stats.Accumulator // one no-fetch round fraction per rep
-	WastedFraction stats.Accumulator // one wasted-prefetch fraction per rep
-
-	PrefetchIssued    int64 // summed over reps
-	PrefetchDropped   int64
-	PrefetchCompleted int64
-	PrefetchUseful    int64
-	WarmInserted      int64
-	WarmHits          int64
-}
-
-// SweepPredictors runs the identical workload (cfg.Clients sessions,
-// seed-replicated like SweepClients) under each prediction source in
-// kinds, preserving every non-Kind field of cfg.Predict (PPM order,
-// cold-start fallback) and the whole scheduling and controller configs.
-// Client workloads derive purely from (seed, id) and sources consume no
-// randomness, so every predictor faces the same browsing sessions: the
-// sweep isolates the oracle-vs-learned gap — demand latency, prediction
-// L1 error, wasted-prefetch fraction and hit ratio per source.
-//
-// Legacy wrapper: new code should call Sweep with a PredictorAxis.
-func SweepPredictors(cfg Config, kinds []predict.Kind, reps, workers int) ([]PredictorPoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(kinds) == 0 {
-		return nil, fmt.Errorf("%w: empty predictor axis", ErrBadConfig)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("%w: %d replications", ErrBadConfig, reps)
-	}
-	pts, err := Sweep(cfg, reps, workers, true, PredictorAxis(kinds))
-	if err != nil {
-		return nil, err
-	}
-	points := make([]PredictorPoint, len(pts))
-	for i, p := range pts {
-		points[i] = PredictorPoint{
-			Kind:              kinds[i],
-			Clients:           cfg.Clients,
-			Reps:              reps,
-			Access:            p.Access,
-			DemandAccess:      p.DemandAccess,
-			QueueWait:         p.QueueWait,
-			L1Error:           p.L1Error,
-			Utilization:       p.Utilization,
-			Improvement:       p.Improvement,
-			SpecThroughput:    p.SpecThroughput,
-			HitRatio:          p.HitRatio,
-			WastedFraction:    p.WastedFraction,
-			PrefetchIssued:    p.PrefetchIssued,
-			PrefetchDropped:   p.PrefetchDropped,
-			PrefetchCompleted: p.PrefetchComplete,
-			PrefetchUseful:    p.PrefetchUseful,
-			WarmInserted:      p.WarmInserted,
-			WarmHits:          p.WarmHits,
-		}
-	}
-	return points, nil
-}
-
-// PredictorControllerPoint is one cell of the controller×predictor grid:
-// a prediction source's seed-replicated metrics under one λ controller.
-// Pareto marks the cells that are non-dominated on (mean demand latency
-// ↓, speculative throughput ↑) within their controller's row set — the
-// reporting slice that makes a weak predictor visible even when an
-// adaptive controller masks it in raw latency.
-type PredictorControllerPoint struct {
-	Predictor  predict.Kind
-	Controller adaptive.Kind
-	Clients    int
-	Reps       int
-
-	Access         stats.Accumulator // every round of every rep merged
-	DemandAccess   stats.Accumulator // every fetching round merged
-	Lambda         stats.Accumulator // every planned round's λ merged
-	L1Error        stats.Accumulator // every planned round's prediction L1 error merged
-	SpecThroughput stats.Accumulator // one speculative-throughput obs per rep
-	HitRatio       stats.Accumulator // one no-fetch round fraction per rep
-	WastedFraction stats.Accumulator // one wasted-prefetch fraction per rep
-
-	Pareto bool
-}
-
-// SweepPredictorControllers runs the identical seed-replicated workload
-// under every (controller, predictor) pair, grouped controller-major in
-// the result (all predictors of ctls[0] first). Within each controller
-// group the Pareto flags mark the (demand latency, speculative
-// throughput) frontier across predictors. This grid runs without a
-// baseline leg: the controller comparison is relative, so the doubled
-// simulation cost would buy nothing.
-//
-// Legacy wrapper: new code should call Sweep with a ControllerAxis and
-// a PredictorAxis.
-func SweepPredictorControllers(cfg Config, preds []predict.Kind, ctls []adaptive.Kind, reps, workers int) ([]PredictorControllerPoint, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(preds) == 0 {
-		return nil, fmt.Errorf("%w: empty predictor axis", ErrBadConfig)
-	}
-	if len(ctls) == 0 {
-		return nil, fmt.Errorf("%w: empty controller axis", ErrBadConfig)
-	}
-	if reps < 1 {
-		return nil, fmt.Errorf("%w: %d replications", ErrBadConfig, reps)
-	}
-	pts, err := Sweep(cfg, reps, workers, false, ControllerAxis(ctls), PredictorAxis(preds))
-	if err != nil {
-		return nil, err
-	}
-	points := make([]PredictorControllerPoint, 0, len(ctls)*len(preds))
-	for ci, ck := range ctls {
-		for pi, pk := range preds {
-			p := pts[ci*len(preds)+pi]
-			points = append(points, PredictorControllerPoint{
-				Predictor:      pk,
-				Controller:     ck,
-				Clients:        cfg.Clients,
-				Reps:           reps,
-				Access:         p.Access,
-				DemandAccess:   p.DemandAccess,
-				Lambda:         p.Lambda,
-				L1Error:        p.L1Error,
-				SpecThroughput: p.SpecThroughput,
-				HitRatio:       p.HitRatio,
-				WastedFraction: p.WastedFraction,
-			})
-		}
-	}
-	for ci := range ctls {
-		markPareto(points[ci*len(preds) : (ci+1)*len(preds)])
-	}
-	return points, nil
-}
-
-// markPareto sets the Pareto flag on the non-dominated points of one
-// controller group: a point is dominated when another point is at least
-// as good on both objectives (demand latency minimised, speculative
-// throughput maximised) and strictly better on one.
+// ParetoFrontier reports which points of one group are on the (mean
+// demand latency ↓, mean speculative throughput ↑) Pareto frontier: a
+// point is dominated when another point is at least as good on both
+// objectives and strictly better on one. Within one controller's row of
+// predictors it is the reporting slice that makes a weak predictor
+// visible even when an adaptive controller masks it in raw latency.
 //
 // Tie handling: domination requires a strict improvement on at least one
 // objective, so a point can never dominate an exact duplicate of itself.
-// Cells with identical (demand latency, spec/s) are therefore always
+// Points with identical (demand latency, spec/s) are therefore always
 // marked together — both on the frontier, or both dominated by a
 // strictly better third point — and the full pairwise scan makes the
 // result independent of slice order.
-func markPareto(group []PredictorControllerPoint) {
+func ParetoFrontier(group []Point) []bool {
+	front := make([]bool, len(group))
 	for i := range group {
 		dominated := false
 		di, si := group[i].DemandAccess.Mean(), group[i].SpecThroughput.Mean()
@@ -557,6 +221,7 @@ func markPareto(group []PredictorControllerPoint) {
 				break
 			}
 		}
-		group[i].Pareto = !dominated
+		front[i] = !dominated
 	}
+	return front
 }

@@ -2,11 +2,8 @@ package multiclient
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
-	"prefetch/internal/adaptive"
-	"prefetch/internal/predict"
 	"prefetch/internal/schedsrv"
 )
 
@@ -18,88 +15,9 @@ func sweepTestConfig() Config {
 	return cfg
 }
 
-// TestSweepGenericMatchesLegacyClients: the generic engine with a
-// ClientsAxis reproduces SweepClients exactly — same accumulators, same
-// per-rep fold order, same seeds.
-func TestSweepGenericMatchesLegacyClients(t *testing.T) {
-	cfg := sweepTestConfig()
-	ns := []int{2, 4}
-	legacy, err := SweepClients(cfg, ns, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	axis, err := ClientsAxis(ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Sweep(cfg, 2, 2, true, axis)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(legacy) {
-		t.Fatalf("generic sweep: %d points, legacy %d", len(pts), len(legacy))
-	}
-	for i := range pts {
-		if got, want := pts[i].Labels, []string{[]string{"2", "4"}[i]}; !reflect.DeepEqual(got, want) {
-			t.Errorf("point %d labels = %v, want %v", i, got, want)
-		}
-		if pts[i].Clients != legacy[i].Clients {
-			t.Errorf("point %d clients = %d, want %d", i, pts[i].Clients, legacy[i].Clients)
-		}
-		if pts[i].Access != legacy[i].Access {
-			t.Errorf("point %d Access differs from legacy", i)
-		}
-		if pts[i].DemandAccess != legacy[i].DemandAccess ||
-			pts[i].QueueWait != legacy[i].QueueWait ||
-			pts[i].Utilization != legacy[i].Utilization ||
-			pts[i].Improvement != legacy[i].Improvement ||
-			pts[i].SpecThroughput != legacy[i].SpecThroughput {
-			t.Errorf("point %d metrics differ from legacy", i)
-		}
-	}
-}
-
-// TestSweepTwoAxisGridMatchesLegacyGrid: a controller×predictor grid on
-// the generic engine reproduces SweepPredictorControllers cell for cell
-// (controller-major, baseline-free).
-func TestSweepTwoAxisGridMatchesLegacyGrid(t *testing.T) {
-	cfg := sweepTestConfig()
-	preds := []predict.Kind{predict.KindOracle, predict.KindDepGraph}
-	ctls := []adaptive.Kind{adaptive.KindStatic, adaptive.KindAIMD}
-	legacy, err := SweepPredictorControllers(cfg, preds, ctls, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := Sweep(cfg, 2, 0, false, ControllerAxis(ctls), PredictorAxis(preds))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != len(legacy) {
-		t.Fatalf("generic sweep: %d points, legacy %d", len(pts), len(legacy))
-	}
-	for i := range pts {
-		wantLabels := []string{string(legacy[i].Controller), string(legacy[i].Predictor)}
-		if !reflect.DeepEqual(pts[i].Labels, wantLabels) {
-			t.Errorf("point %d labels = %v, want %v", i, pts[i].Labels, wantLabels)
-		}
-		if pts[i].Access != legacy[i].Access ||
-			pts[i].DemandAccess != legacy[i].DemandAccess ||
-			pts[i].Lambda != legacy[i].Lambda ||
-			pts[i].L1Error != legacy[i].L1Error ||
-			pts[i].SpecThroughput != legacy[i].SpecThroughput ||
-			pts[i].HitRatio != legacy[i].HitRatio ||
-			pts[i].WastedFraction != legacy[i].WastedFraction {
-			t.Errorf("point %d metrics differ from legacy (%s/%s)", i, legacy[i].Controller, legacy[i].Predictor)
-		}
-		if pts[i].Improvement.N() != 0 {
-			t.Errorf("point %d has Improvement observations in a baseline-free sweep", i)
-		}
-	}
-}
-
 // TestSweepDisciplineAxisKeepsPreemptRules: the discipline axis clears
-// the preempt flag on non-priority disciplines, exactly like the legacy
-// schedFor path — a priority+preempt base must not poison fifo cells.
+// the preempt flag on non-priority disciplines — a priority+preempt base
+// must not poison fifo cells.
 func TestSweepDisciplineAxisKeepsPreemptRules(t *testing.T) {
 	cfg := sweepTestConfig()
 	cfg.Sched.Kind = schedsrv.KindPriority
@@ -116,8 +34,8 @@ func TestSweepDisciplineAxisKeepsPreemptRules(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsBadInput: engine-level validation mirrors the legacy
-// entry points.
+// TestSweepRejectsBadInput: engine-level validation of reps, axes and
+// the base config.
 func TestSweepRejectsBadInput(t *testing.T) {
 	cfg := sweepTestConfig()
 	if _, err := Sweep(cfg, 0, 0, false); !errors.Is(err, ErrBadConfig) {
