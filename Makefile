@@ -18,7 +18,8 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # subsystem's submit/dispatch/complete cycle (and completion alone at
 # 64…16384 busy slots, whose cost must not grow with concurrency), the
 # end-to-end multiclient simulation round (the N-scaling family
-# N=64…4096 over the sharded core, plus oracle/learned/drift variants and
+# N=64…4096 over the sharded core, plus oracle/learned/drift variants, the
+# shared-predictor variant that plans inline from dense scratch, and
 # the traced and disabled-tracer variants that hold the observability
 # layer's overhead — off must stay within noise of the untraced
 # baseline), the learned predictors' observe/predict cycle, and the
@@ -26,7 +27,7 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # of the single-server round). -benchmem feeds the allocation gate:
 # cmd/benchjson fails any tracked benchmark whose allocs/op grows past
 # its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound)$$
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundShared|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound)$$
 BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 

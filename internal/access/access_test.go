@@ -1,6 +1,7 @@
 package access
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -329,8 +330,18 @@ func TestPPMValidation(t *testing.T) {
 
 func TestCtxKeyUnambiguous(t *testing.T) {
 	// (1,23) and (12,3) must not collide.
-	if ctxKey([]int{1, 23}) == ctxKey([]int{12, 3}) {
+	if string(AppendContextKey(nil, []int{1, 23})) == string(AppendContextKey(nil, []int{12, 3})) {
 		t.Fatal("context key collision")
+	}
+	// The keys are byte-for-byte the "%d," encoding they replace.
+	for _, items := range [][]int{nil, {0}, {7, 119}, {-3, 1 << 40, 0, 42}} {
+		var want []byte
+		for _, it := range items {
+			want = fmt.Appendf(want, "%d,", it)
+		}
+		if got := AppendContextKey([]byte("stale"), items)[len("stale"):]; string(got) != string(want) {
+			t.Errorf("AppendContextKey(%v) = %q, want %q", items, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,9 @@
 package access
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // DependencyGraph and PPM learn an access model online and predict the
 // distribution of the next access — the "access model" the paper
@@ -78,6 +81,7 @@ type PPM struct {
 	order    int
 	contexts map[string]*ctxCounts
 	history  []int
+	key      []byte // context-key scratch; see AppendContextKey
 }
 
 type ctxCounts struct {
@@ -99,24 +103,29 @@ func (p *PPM) Name() string { return fmt.Sprintf("ppm-%d", p.order) }
 // Order returns the configured context order.
 func (p *PPM) Order() int { return p.order }
 
-// ctxKey encodes a context window compactly and unambiguously.
-func ctxKey(items []int) string {
-	key := make([]byte, 0, len(items)*3)
+// AppendContextKey appends the key of a context window to dst and
+// returns the extended slice: each item in decimal followed by a comma,
+// which is compact and unambiguous. It is the one context-key encoding
+// of the PPM-family predictors. Looking a key up as m[string(key)] does
+// not allocate, so callers keep one scratch buffer and pay for a string
+// only when they insert a new context.
+func AppendContextKey(dst []byte, items []int) []byte {
 	for _, it := range items {
-		key = fmt.Appendf(key, "%d,", it)
+		dst = strconv.AppendInt(dst, int64(it), 10)
+		dst = append(dst, ',')
 	}
-	return string(key)
+	return dst
 }
 
 // Observe feeds the next item of the access sequence.
 func (p *PPM) Observe(item int) {
 	h := p.history
 	for k := 1; k <= p.order && k <= len(h); k++ {
-		key := ctxKey(h[len(h)-k:])
-		c := p.contexts[key]
+		p.key = AppendContextKey(p.key[:0], h[len(h)-k:])
+		c := p.contexts[string(p.key)]
 		if c == nil {
 			c = &ctxCounts{next: map[int]int64{}}
-			p.contexts[key] = c
+			p.contexts[string(p.key)] = c
 		}
 		c.next[item]++
 		c.total++
@@ -149,7 +158,8 @@ func (p *PPM) Next(state int) map[int]float64 {
 func (p *PPM) predictFrom(h []int) map[int]float64 {
 	out := map[int]float64{}
 	for k := min(p.order, len(h)); k >= 1; k-- {
-		c := p.contexts[ctxKey(h[len(h)-k:])]
+		p.key = AppendContextKey(p.key[:0], h[len(h)-k:])
+		c := p.contexts[string(p.key)]
 		if c == nil || c.total == 0 {
 			continue // escape to a shorter context
 		}

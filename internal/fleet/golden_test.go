@@ -120,32 +120,65 @@ func TestGoldenDigests(t *testing.T) {
 				mut(&cfg.Base)
 				name := string(router) + "/" + map[bool]string{false: "steady", true: "churn"}[failures] + "/" + shape
 				t.Run(name, func(t *testing.T) {
-					plain, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					plain := checkGolden(t, cfg, want[name])
 					if failures && (plain.Failures == 0 || plain.ReRoutes == 0) {
 						t.Errorf("churn run saw %d failures and %d reroutes; want both > 0", plain.Failures, plain.ReRoutes)
-					}
-					var buf bytes.Buffer
-					w := obs.NewWriter(&buf)
-					cfg.Base.Tracer = w
-					traced, err := Run(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := w.Flush(); err != nil {
-						t.Fatal(err)
-					}
-					got := [2]string{golden.Digest(plain), golden.Bytes(buf.Bytes())}
-					if d := golden.Digest(traced); d != got[0] {
-						t.Errorf("traced result digest %s differs from untraced %s", d, got[0])
-					}
-					if got != want[name] {
-						t.Errorf("digests\n got {%q, %q}\nwant {%q, %q}", got[0], got[1], want[name][0], want[name][1])
 					}
 				})
 			}
 		}
 	}
+}
+
+// TestGoldenFleetShared pins the digests of a small run shaped like the
+// perfbench fleet-shared workload: a shared predictor (the inline
+// planning path) with a warmed server cache, the target-utilisation
+// controller, three hash-routed replicas and failure injection. The
+// digests were recorded before the prediction path went dense.
+func TestGoldenFleetShared(t *testing.T) {
+	want := [2]string{
+		"8a380152a7b660384c7abec9f7251de599191e843e67602c384bf76736b9dc32",
+		"d71a6db9c63fcc8a1b6bb742b20b954196d63f7c3c0191b0066ca3cb203b9aa3",
+	}
+	base := multiclient.DefaultConfig()
+	base.Clients, base.Rounds, base.ServerConcurrency = 24, 60, 4
+	base.ServerCacheSlots = 64
+	base.WarmServerCache = true
+	base.Predict = predict.Config{Kind: predict.KindShared}
+	base.Adaptive = adaptive.Config{Kind: adaptive.KindTargetUtil}
+	base.Seed = 7
+	cfg := Config{Base: base, Replicas: 3, Router: KindHash, FailEvery: 40, RecoverAfter: 15}
+	plain := checkGolden(t, cfg, want)
+	if plain.Failures == 0 || plain.ReRoutes == 0 {
+		t.Errorf("run saw %d failures and %d reroutes; want both > 0", plain.Failures, plain.ReRoutes)
+	}
+}
+
+// checkGolden runs cfg untraced and traced, checks that both report the
+// same Result and that the Result and trace digests are want, and
+// returns the untraced Result.
+func checkGolden(t *testing.T, cfg Config, want [2]string) Result {
+	t.Helper()
+	plain, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	w := obs.NewWriter(&buf)
+	cfg.Base.Tracer = w
+	traced, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := [2]string{golden.Digest(plain), golden.Bytes(buf.Bytes())}
+	if d := golden.Digest(traced); d != got[0] {
+		t.Errorf("traced result digest %s differs from untraced %s", d, got[0])
+	}
+	if got != want {
+		t.Errorf("digests\n got {%q, %q}\nwant {%q, %q}", got[0], got[1], want[0], want[1])
+	}
+	return plain
 }

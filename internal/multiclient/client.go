@@ -1,8 +1,6 @@
 package multiclient
 
 import (
-	"sort"
-
 	"prefetch/internal/adaptive"
 	"prefetch/internal/cache"
 	"prefetch/internal/core"
@@ -329,60 +327,46 @@ func (c *client) plan(viewing float64) core.Plan {
 	var (
 		state int
 		l1    float64
-		items []core.Item
+		cands []core.Item // every candidate, ranked
 	)
 	if c.script != nil {
 		// Scripted: the full ranked candidate list was precomputed (or is
-		// the shared stationary table); only the timing-dependent parts —
-		// the held/in-flight filter and the cap — run here. Filtering a
-		// ranked list then capping equals the inline path's filter-sort-cap
-		// because the ranking key is a total order independent of the
-		// filter.
+		// the shared stationary table).
 		state = c.state
 		if c.script.L1 != nil {
 			l1 = c.script.L1[c.round-1]
 		}
-		ranked := c.table
-		var cands []core.Item
-		if ranked != nil {
-			cands = ranked[state]
+		if c.table != nil {
+			cands = c.table[state]
 		} else {
 			cands = c.script.Cands[c.round-1]
 		}
-		c.l1Trace.Add(l1)
-		items = c.run.planBuf[:0]
-		for i := range cands {
-			if len(items) == c.cfg.MaxCandidates {
-				break
-			}
-			if c.holds(cands[i].ID) || c.pending[cands[i].ID] {
-				continue
-			}
-			items = append(items, cands[i])
-		}
-		c.run.planBuf = items
 	} else {
+		// Inline: predict and rank into the run's dense scratch, exactly
+		// as a Phase-A worker would have scripted it.
 		state = c.surfer.Current()
-		dist := c.pred.Next(state)
-		if !c.oracle {
-			l1 = predict.L1(dist, c.surfer.NextDistributionFrom(state))
+		pred := c.pred
+		if c.oracle {
+			pred = nil
 		}
-		c.l1Trace.Add(l1)
-		items = c.run.planBuf[:0]
-		for page, prob := range dist {
-			if prob <= 0 || c.holds(page) || c.pending[page] {
-				continue
-			}
-			//lint:allow maporder sorted below via the reusable sorter (total-order key: prob desc, id asc)
-			items = append(items, core.Item{ID: page, Prob: prob, Retrieval: c.site.Pages[page].Retrieval})
-		}
-		c.run.planBuf = items // retain any growth for the next plan
-		c.run.sorter.items = items
-		sort.Sort(&c.run.sorter)
-		if len(items) > c.cfg.MaxCandidates {
-			items = items[:c.cfg.MaxCandidates]
-		}
+		cands, l1 = c.run.scratch.rank(c.site, c.surfer, pred, state)
 	}
+	c.l1Trace.Add(l1)
+	// Only the timing-dependent parts — the held/in-flight filter and the
+	// cap — run at plan time. Filtering a ranked list then capping equals
+	// filtering, ranking and capping because the ranking key is a total
+	// order independent of the filter.
+	items := c.run.planBuf[:0]
+	for i := range cands {
+		if len(items) == c.cfg.MaxCandidates {
+			break
+		}
+		if c.holds(cands[i].ID) || c.pending[cands[i].ID] {
+			continue
+		}
+		items = append(items, cands[i])
+	}
+	c.run.planBuf = items // retain any growth for the next plan
 	if c.tr != nil {
 		ev := obs.Ev(c.clock.Now(), obs.KindPredictNext, c.id)
 		ev.Round = c.round
@@ -401,10 +385,10 @@ func (c *client) plan(viewing float64) core.Plan {
 	return plan
 }
 
-// itemSorter orders plan candidates by probability (desc) then page id —
-// the seed's sort.Slice comparator as a persistent sort.Interface, so the
-// per-round sort does not allocate a closure or reflection swapper. IDs
-// are unique, so the order is a total order and algorithm-independent.
+// itemSorter orders plan candidates by probability (desc) then page id,
+// as a persistent sort.Interface so ranking does not allocate a closure
+// or reflection swapper. IDs are unique, so the order is a total order
+// and algorithm-independent.
 type itemSorter struct{ items []core.Item }
 
 func (s *itemSorter) Len() int      { return len(s.items) }

@@ -109,11 +109,15 @@ type run struct {
 	// reqPool recycles the tag records riding through the schedulers,
 	// and solver is the one branch-and-bound scratch space every plan
 	// shares — the event loop runs clients one at a time and each plan
-	// is consumed before the next Solve, so one solver is safe.
+	// is consumed before the next Solve, so one solver is safe. The
+	// planning buffers are shared the same way: scratch is the inline
+	// clients' dense prediction and ranking scratch (nil when Phase A
+	// scripts every client) and planBuf the filtered, capped candidates
+	// each plan solves.
 	reqPool eventq.FreeList[request]
 	solver  *core.Solver
+	scratch *planScratch
 	planBuf []core.Item
-	sorter  itemSorter
 
 	// router is nil for the single-server model; states is its reused
 	// view of the servers.
@@ -213,14 +217,16 @@ func newRun(cfg Config, sv Servers) (*run, error) {
 		r.states = make([]ReplicaState, sv.N)
 	}
 	// Phase A: the workers precompute every client's workload script in
-	// parallel (a no-op for the shared predictor, which must train in
-	// arrival order and keeps the inline path).
+	// parallel. The shared predictor must train in arrival order, so its
+	// clients plan inline, into the run's dense scratch.
 	var scripts *Scripts
 	if Scriptable(cfg) {
 		scripts, err = GenerateScripts(cfg, site)
 		if err != nil {
 			return nil, err
 		}
+	} else {
+		r.scratch = newPlanScratch(len(site.Pages))
 	}
 	r.clients = make([]*client, cfg.Clients)
 	for i := range r.clients {

@@ -433,3 +433,28 @@ func BenchmarkMultiClientRoundLearned(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMultiClientRoundShared is the unscripted inline path: the
+// shared predictor with a warmed server cache, so every client plans in
+// Phase B from the pooled model. Planning reuses the run's dense scratch,
+// so the allocation gate (cmd/benchjson) holds the per-round plan
+// allocation-free. Tracked by the benchmark-regression gate.
+func BenchmarkMultiClientRoundShared(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Clients = 64
+	cfg.Rounds = 100
+	cfg.ServerConcurrency = 8
+	cfg.ServerCacheSlots = 30
+	cfg.WarmServerCache = true
+	cfg.Predict = predict.Config{Kind: predict.KindShared}
+	cfg.Seed = 7
+	for i := 0; i < b.N; i++ {
+		res, err := Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Access.N() != int64(cfg.Clients*cfg.Rounds) {
+			b.Fatalf("short run: %d rounds", res.Access.N())
+		}
+	}
+}

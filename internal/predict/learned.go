@@ -215,6 +215,7 @@ type ppmEscape struct {
 	freq     map[int]int64
 	total    int64
 	history  []int
+	key      []byte // context-key scratch; see access.AppendContextKey
 }
 
 // newPPMEscape returns an empty escape-PPM source of the given order
@@ -230,25 +231,15 @@ func newPPMEscape(order int) *ppmEscape {
 // Name implements Source.
 func (p *ppmEscape) Name() string { return fmt.Sprintf("ppm-escape-%d", p.order) }
 
-// escCtxKey encodes a context window compactly and unambiguously (the
-// same encoding as access.PPM's).
-func escCtxKey(items []int) string {
-	key := make([]byte, 0, len(items)*3)
-	for _, it := range items {
-		key = fmt.Appendf(key, "%d,", it)
-	}
-	return string(key)
-}
-
 // Observe implements Source.
 func (p *ppmEscape) Observe(page int) {
 	h := p.history
 	for k := 1; k <= p.order && k <= len(h); k++ {
-		key := escCtxKey(h[len(h)-k:])
-		c := p.contexts[key]
+		p.key = access.AppendContextKey(p.key[:0], h[len(h)-k:])
+		c := p.contexts[string(p.key)]
 		if c == nil {
 			c = &escCounts{next: map[int]int64{}}
-			p.contexts[key] = c
+			p.contexts[string(p.key)] = c
 		}
 		c.next[page]++
 		c.total++
@@ -277,7 +268,8 @@ func (p *ppmEscape) Next(state int) map[int]float64 {
 		longest = len(h)
 	}
 	for k := longest; k >= 1; k-- {
-		c := p.contexts[escCtxKey(h[len(h)-k:])]
+		p.key = access.AppendContextKey(p.key[:0], h[len(h)-k:])
+		c := p.contexts[string(p.key)]
 		if c == nil || c.total == 0 {
 			continue
 		}

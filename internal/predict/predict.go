@@ -264,6 +264,18 @@ func (f *fallback) Observe(page int) {
 	f.inner.Observe(page)
 }
 
+// nextInto is Next written into a zeroed dense vector.
+func (f *fallback) nextInto(state int, probs []float64) bool {
+	if nextInto(f.inner, state, probs) {
+		return true
+	}
+	per := 1 / float64(len(f.seen))
+	for p := range f.seen {
+		probs[p] = per
+	}
+	return len(f.seen) > 0
+}
+
 // Next implements Source.
 func (f *fallback) Next(state int) map[int]float64 {
 	if d := f.inner.Next(state); len(d) > 0 {
@@ -284,34 +296,39 @@ func (f *fallback) Next(state int) map[int]float64 {
 // warming. One Aggregate serves a whole simulation; clients obtain their
 // Source view with ForClient. It is not safe for concurrent use — the
 // simulators are single-goroutine per replica.
+//
+// Pages and clients are dense non-negative ids, so every table is a
+// slice indexed by id, grown on demand to the largest id observed.
 type Aggregate struct {
-	edges map[int]map[int]int64
-	outN  map[int]int64
-	last  map[int]int
-	freq  map[int]int64
+	edges [][]int64 // edges[prev][page]: pooled prev → page transitions
+	outN  []int64   // outN[prev]: Σ edges[prev]
+	freq  []int64   // freq[page]: pooled accesses of page
+	last  []int     // last[client]: the client's previous page, -1 before its first
 	total int64
+	top   pageRank // TopPages' ranking scratch
 }
 
 // NewAggregate returns an empty aggregate model.
-func NewAggregate() *Aggregate {
-	return &Aggregate{
-		edges: map[int]map[int]int64{},
-		outN:  map[int]int64{},
-		last:  map[int]int{},
-		freq:  map[int]int64{},
-	}
-}
+func NewAggregate() *Aggregate { return &Aggregate{} }
 
 // ObserveClient feeds one page of a client's access stream into the
 // pooled model.
 func (a *Aggregate) ObserveClient(client, page int) {
-	if prev, ok := a.last[client]; ok {
-		m := a.edges[prev]
-		if m == nil {
-			m = map[int]int64{}
-			a.edges[prev] = m
+	for len(a.last) <= client {
+		a.last = append(a.last, -1)
+	}
+	for len(a.freq) <= page {
+		a.edges = append(a.edges, nil)
+		a.outN = append(a.outN, 0)
+		a.freq = append(a.freq, 0)
+	}
+	if prev := a.last[client]; prev >= 0 {
+		row := a.edges[prev]
+		for len(row) <= page {
+			row = append(row, 0)
 		}
-		m[page]++
+		row[page]++
+		a.edges[prev] = row
 		a.outN[prev]++
 	}
 	a.last[client] = page
@@ -322,18 +339,40 @@ func (a *Aggregate) ObserveClient(client, page int) {
 // Next returns the pooled transition distribution out of state.
 func (a *Aggregate) Next(state int) map[int]float64 {
 	out := map[int]float64{}
-	total := a.outN[state]
-	if total == 0 {
+	if state >= len(a.outN) || a.outN[state] == 0 {
 		return out
 	}
+	total := a.outN[state]
 	for page, c := range a.edges[state] {
-		out[page] = float64(c) / float64(total)
+		if c > 0 {
+			out[page] = float64(c) / float64(total)
+		}
 	}
 	return out
 }
 
+// nextInto is Next written into a zeroed dense vector, reporting whether
+// state has any pooled successors.
+func (a *Aggregate) nextInto(state int, probs []float64) bool {
+	if state >= len(a.outN) || a.outN[state] == 0 {
+		return false
+	}
+	total := a.outN[state]
+	for page, c := range a.edges[state] {
+		if c > 0 {
+			probs[page] = float64(c) / float64(total)
+		}
+	}
+	return true
+}
+
 // Freq returns the pooled access count of a page.
-func (a *Aggregate) Freq(page int) int64 { return a.freq[page] }
+func (a *Aggregate) Freq(page int) int64 {
+	if page >= len(a.freq) {
+		return 0
+	}
+	return a.freq[page]
+}
 
 // Observations returns the total number of pooled observations.
 func (a *Aggregate) Observations() int64 { return a.total }
@@ -342,23 +381,41 @@ func (a *Aggregate) Observations() int64 { return a.total }
 // stream, most popular first, ties broken by lowest page ID — the warm
 // set a server-side prefetcher should hold.
 func (a *Aggregate) TopPages(n int) []int {
-	if n <= 0 || len(a.freq) == 0 {
+	if n <= 0 {
 		return nil
 	}
-	pages := make([]int, 0, len(a.freq))
-	for p := range a.freq {
-		pages = append(pages, p)
-	}
-	sort.Slice(pages, func(i, j int) bool {
-		if a.freq[pages[i]] != a.freq[pages[j]] {
-			return a.freq[pages[i]] > a.freq[pages[j]]
+	// The ranking scratch lives on the Aggregate: warm passes recur all
+	// run long, and a local would escape to the heap through sort.Sort.
+	r := &a.top
+	r.freq = a.freq
+	r.pages = r.pages[:0]
+	for p, f := range a.freq {
+		if f > 0 {
+			r.pages = append(r.pages, p)
 		}
-		return pages[i] < pages[j]
-	})
-	if len(pages) > n {
-		pages = pages[:n]
 	}
-	return pages
+	if len(r.pages) == 0 {
+		return nil
+	}
+	sort.Sort(r)
+	return append([]int(nil), r.pages[:min(n, len(r.pages))]...)
+}
+
+// pageRank orders pages by pooled frequency (desc) then page id: a total
+// order, so the ranking is independent of the sort algorithm.
+type pageRank struct {
+	pages []int
+	freq  []int64
+}
+
+func (r *pageRank) Len() int      { return len(r.pages) }
+func (r *pageRank) Swap(i, j int) { r.pages[i], r.pages[j] = r.pages[j], r.pages[i] }
+func (r *pageRank) Less(i, j int) bool {
+	fi, fj := r.freq[r.pages[i]], r.freq[r.pages[j]]
+	if fi != fj {
+		return fi > fj
+	}
+	return r.pages[i] < r.pages[j]
 }
 
 // clientView adapts one client's slot in the Aggregate to the Source
@@ -383,6 +440,34 @@ func (v *clientView) Observe(page int) { v.agg.ObserveClient(v.client, page) }
 // Next implements Source.
 func (v *clientView) Next(state int) map[int]float64 { return v.agg.Next(state) }
 
+// NextInto writes src's predicted distribution of the access after state
+// into probs, indexed by page: probs[p] is bit for bit Next(state)[p],
+// and 0 for every page Next leaves out. probs is overwritten and must be
+// longer than any page the source can name (the site's page count). The
+// shared aggregate's client views fill probs straight from the pooled
+// counts without building a map; every other source's Next is
+// scattered.
+func NextInto(src Source, state int, probs []float64) {
+	clear(probs)
+	nextInto(src, state, probs)
+}
+
+// nextInto fills the zeroed probs from src and reports whether src
+// predicted anything (whether Next's map would be non-empty).
+func nextInto(src Source, state int, probs []float64) bool {
+	switch s := src.(type) {
+	case *clientView:
+		return s.agg.nextInto(state, probs)
+	case *fallback:
+		return s.nextInto(state, probs)
+	}
+	d := src.Next(state)
+	for page, p := range d {
+		probs[page] = p
+	}
+	return len(d) > 0
+}
+
 // L1 returns the L1 distance Σ |p(i) − q(i)| between two distributions
 // over the union of their supports — the prediction-error metric the
 // multiclient simulation records each planned round (0 = identical, 2 =
@@ -404,6 +489,23 @@ func L1(p, q map[int]float64) float64 {
 	var sum float64
 	for _, k := range keys {
 		d := p[k] - q[k]
+		if d < 0 {
+			d = -d
+		}
+		sum += d
+	}
+	return sum
+}
+
+// L1Dense is L1 over two page-indexed vectors of equal length. Summing
+// in ascending page order is L1's sorted-key order, and each page in
+// neither support adds |0 − 0| = +0, which leaves the sum unchanged, so
+// for vectors holding the maps' values the result is bit for bit L1's.
+func L1Dense(p, q []float64) float64 {
+	q = q[:len(p)]
+	var sum float64
+	for i := range p {
+		d := p[i] - q[i]
 		if d < 0 {
 			d = -d
 		}

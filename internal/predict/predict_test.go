@@ -212,6 +212,90 @@ func TestL1(t *testing.T) {
 	}
 }
 
+// TestL1DenseBitIdentical: over random sparse distributions — including
+// disjoint supports and explicit zero-valued keys — the dense L1 over
+// page-indexed vectors is bit for bit the map L1.
+func TestL1DenseBitIdentical(t *testing.T) {
+	r := rng.New(21)
+	for trial := 0; trial < 2000; trial++ {
+		pages := 1 + r.IntN(60)
+		disjoint := trial%3 == 0
+		p, q := map[int]float64{}, map[int]float64{}
+		dp, dq := make([]float64, pages), make([]float64, pages)
+		for i := 0; i < pages; i++ {
+			inP := r.Float64() < 0.4
+			if inP {
+				p[i] = r.Float64()
+				dp[i] = p[i]
+			} else if r.Float64() < 0.2 {
+				p[i] = 0 // an explicit zero-valued key
+			}
+			if disjoint && inP {
+				continue
+			}
+			if r.Float64() < 0.4 {
+				q[i] = r.Float64() / 3
+				dq[i] = q[i]
+			} else if r.Float64() < 0.2 {
+				q[i] = 0
+			}
+		}
+		want := L1(p, q)
+		if got := L1Dense(dp, dq); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: L1Dense = %v (%#x), L1 = %v (%#x)\np = %v\nq = %v",
+				trial, got, math.Float64bits(got), want, math.Float64bits(want), p, q)
+		}
+	}
+}
+
+// TestNextIntoMatchesNext: for every built-in source under both
+// cold-start fallbacks, NextInto fills a stale vector with bit for bit
+// Next's values and zero off its support — on states the source has
+// evidence for, and on cold states where the fallback answers.
+func TestNextIntoMatchesNext(t *testing.T) {
+	r := rng.New(31)
+	site, err := webgraph.Generate(r, webgraph.DefaultSiteConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := make([]float64, len(site.Pages))
+	for _, kind := range Kinds() {
+		for _, fb := range []Fallback{FallbackNone, FallbackUniform} {
+			t.Run(string(kind)+"/"+string(fb), func(t *testing.T) {
+				surfer := webgraph.NewSurfer(rng.New(41), site, 0.85)
+				surfer.EnableDrift(rng.New(42), 30)
+				agg := NewAggregate()
+				src, err := New(Config{Kind: kind, ColdStart: fb}, 1, surfer.NextDistributionFrom, agg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other := agg.ForClient(2) // a second stream pooled into a shared model
+				check := func(step, state int) {
+					for i := range probs {
+						probs[i] = math.NaN() // NextInto must overwrite
+					}
+					NextInto(src, state, probs)
+					want := src.Next(state)
+					for page, p := range probs {
+						if w := want[page]; math.Float64bits(p) != math.Float64bits(w) {
+							t.Fatalf("step %d state %d: NextInto[%d] = %v, Next %v", step, state, page, p, w)
+						}
+					}
+				}
+				check(-1, 0) // before any observation
+				src.Observe(surfer.Current())
+				for step := 0; step < 150; step++ {
+					check(step, surfer.Current())
+					check(step, (surfer.Current()+step)%len(site.Pages)) // often a cold state
+					page := surfer.Step()
+					src.Observe(page)
+					other.Observe((page * 7) % len(site.Pages))
+				}
+			})
+		}
+	}
+}
+
 // trainOnSurfer walks a stationary random surfer for steps, feeding each
 // access to the source, and returns the mean L1 error of the source's
 // prediction at the visited states over the final evalWindow steps.

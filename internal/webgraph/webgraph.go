@@ -119,33 +119,60 @@ func Generate(r *rng.Source, cfg SiteConfig) (*Site, error) {
 
 // NextDistributionInto computes the stationary random-surfer next-page
 // distribution from page into probs (len(probs) must equal the page
-// count; it is zeroed first). This is the site-level form of
-// Surfer.NextDistributionFrom for a drift-free surfer: a pure function of
-// (site, page, followProb), dense instead of a map, and with the exact
-// accumulation order of the map form — per-link mass first, then the
-// teleport sweep — so every probability is bit-for-bit the value the
-// surfer would report. followProb outside (0,1) defaults to 0.85 exactly
-// as NewSurfer does.
+// count; it is overwritten). This is the site-level form of
+// Surfer.NextDistributionInto for a drift-free surfer: a pure function of
+// (site, page, followProb) that needs no surfer. followProb outside (0,1)
+// defaults to 0.85 exactly as NewSurfer does.
 func (s *Site) NextDistributionInto(page int, followProb float64, probs []float64) {
 	if followProb <= 0 || followProb >= 1 {
 		followProb = 0.85
 	}
-	for i := range probs {
-		probs[i] = 0
-	}
+	s.nextInto(page, followProb, nil, probs)
+}
+
+// nextInto is the one implementation of the random-surfer arithmetic:
+// the next-page distribution from page into the dense vector probs,
+// given the follow probability and the phase preference vector pref (nil
+// for the stationary surfer, which follows links uniformly and teleports
+// by the site's popularity weights). Link mass is accumulated first, then
+// the teleport sweep, each in fixed order, so every value is
+// bit-for-bit the same whichever form (dense or map) reports it.
+func (s *Site) nextInto(page int, followProb float64, pref, probs []float64) {
+	clear(probs)
 	links := s.Pages[page].Links
 	if len(links) > 0 {
-		per := followProb / float64(len(links))
-		for _, t := range links {
-			probs[t] += per
+		if pref == nil {
+			per := followProb / float64(len(links))
+			for _, t := range links {
+				probs[t] += per
+			}
+		} else {
+			// Drifting: link choice is biased by the phase preferences.
+			// Links is duplicate-free and in fixed order, so the sum is
+			// deterministic.
+			var wsum float64
+			for _, t := range links {
+				wsum += pref[t]
+			}
+			for _, t := range links {
+				probs[t] += followProb * pref[t] / wsum
+			}
 		}
 	}
 	teleport := 1 - followProb
 	if len(links) == 0 {
 		teleport = 1
 	}
-	for i := range s.Pages {
-		if w := s.Pages[i].Weight * teleport; w > 0 {
+	if pref == nil {
+		for i := range s.Pages {
+			if w := s.Pages[i].Weight * teleport; w > 0 {
+				probs[i] += w
+			}
+		}
+		return
+	}
+	for i, p := range pref {
+		if w := p * teleport; w > 0 {
 			probs[i] += w
 		}
 	}
@@ -216,54 +243,31 @@ func (s *Surfer) NextDistribution() map[int]float64 {
 }
 
 // NextDistributionFrom returns the true next-page distribution from an
-// arbitrary page — the distribution is a pure function of (site, page,
-// followProb) plus, under drift, the current phase's preference vector —
-// so this is NextDistribution reconditioned without moving the surfer.
-// It is the oracle hook of the prediction subsystem, and it tracks every
-// phase shift exactly: shifts are applied at the end of Step, so the
-// distribution queried between steps always matches what the next Step
-// will sample from.
+// arbitrary page as a map of its positive entries: the map view of
+// NextDistributionInto, value for value. It is the oracle hook of the
+// prediction subsystem.
 func (s *Surfer) NextDistributionFrom(page int) map[int]float64 {
-	dist := map[int]float64{}
-	links := s.site.Pages[page].Links
-	if len(links) > 0 {
-		if s.weights == nil {
-			per := s.followProb / float64(len(links))
-			for _, t := range links {
-				dist[t] += per
-			}
-		} else {
-			// Drifting: link choice is biased by the phase preferences.
-			// Links is duplicate-free and in fixed order, so the sum is
-			// deterministic.
-			var wsum float64
-			for _, t := range links {
-				wsum += s.weights[t]
-			}
-			for _, t := range links {
-				dist[t] += s.followProb * s.weights[t] / wsum
-			}
-		}
-	}
-	teleport := 1 - s.followProb
-	if len(links) == 0 {
-		teleport = 1
-	}
-	for i := range s.site.Pages {
-		if w := s.weightAt(i) * teleport; w > 0 {
-			dist[i] += w
+	probs := make([]float64, len(s.site.Pages))
+	s.NextDistributionInto(page, probs)
+	dist := make(map[int]float64, len(probs))
+	for i, p := range probs {
+		if p > 0 {
+			dist[i] = p
 		}
 	}
 	return dist
 }
 
-// weightAt returns page i's preference weight in the current phase — the
-// static site popularity unless drift has installed a phase vector.
-func (s *Surfer) weightAt(i int) float64 {
-	if s.weights != nil {
-		return s.weights[i]
-	}
-	return s.site.Pages[i].Weight
+// NextDistributionInto writes the true next-page distribution from an
+// arbitrary page into probs, indexed by page (len(probs) must equal the
+// page count; it is overwritten). The distribution is a pure function of
+// (site, page, followProb) plus, under drift, the current phase's
+// preference vector, so this is NextDistribution reconditioned without
+// moving the surfer, and it tracks every phase shift exactly: shifts are
+// applied at the end of Step, so the distribution queried between steps
+// always matches what the next Step will sample from.
+func (s *Surfer) NextDistributionInto(page int, probs []float64) {
+	s.site.nextInto(page, s.followProb, s.weights, probs)
 }
 
 // Step advances the surfer and returns the new page ID. Under drift the

@@ -347,3 +347,102 @@ func TestEnableDriftRejectsBadCadence(t *testing.T) {
 	}()
 	s.EnableDrift(rng.Derive(1, "drift"), 0)
 }
+
+// mapNextDistribution is the map-building surfer arithmetic the dense
+// form replaced, kept as the reference the dense values must match bit
+// for bit: link mass accumulated into a map, then the teleport sweep.
+func mapNextDistribution(s *Surfer, page int) map[int]float64 {
+	dist := map[int]float64{}
+	links := s.site.Pages[page].Links
+	if len(links) > 0 {
+		if s.weights == nil {
+			per := s.followProb / float64(len(links))
+			for _, t := range links {
+				dist[t] += per
+			}
+		} else {
+			var wsum float64
+			for _, t := range links {
+				wsum += s.weights[t]
+			}
+			for _, t := range links {
+				dist[t] += s.followProb * s.weights[t] / wsum
+			}
+		}
+	}
+	teleport := 1 - s.followProb
+	if len(links) == 0 {
+		teleport = 1
+	}
+	for i := range s.site.Pages {
+		w := s.site.Pages[i].Weight
+		if s.weights != nil {
+			w = s.weights[i]
+		}
+		if w *= teleport; w > 0 {
+			dist[i] += w
+		}
+	}
+	return dist
+}
+
+// checkDenseMatchesMap asserts that, from every page, NextDistributionInto
+// holds bit for bit the map reference's values (0 off its support) and
+// that NextDistributionFrom is exactly the reference map.
+func checkDenseMatchesMap(t *testing.T, s *Surfer) {
+	t.Helper()
+	probs := make([]float64, len(s.site.Pages))
+	for page := range s.site.Pages {
+		for i := range probs {
+			probs[i] = math.NaN() // NextDistributionInto must overwrite
+		}
+		s.NextDistributionInto(page, probs)
+		ref := mapNextDistribution(s, page)
+		view := s.NextDistributionFrom(page)
+		if len(view) != len(ref) {
+			t.Fatalf("page %d: map view has %d entries, reference %d", page, len(view), len(ref))
+		}
+		for i, p := range probs {
+			if math.Float64bits(p) != math.Float64bits(ref[i]) {
+				t.Fatalf("page %d: dense[%d] = %v (%#x), map reference %v (%#x)",
+					page, i, p, math.Float64bits(p), ref[i], math.Float64bits(ref[i]))
+			}
+			if v, ok := view[i]; ok != (p > 0) || math.Float64bits(v) != math.Float64bits(ref[i]) {
+				t.Fatalf("page %d: map view[%d] = %v (present %v), reference %v", page, i, v, ok, ref[i])
+			}
+		}
+	}
+}
+
+// TestNextDistributionIntoBitIdentical: the dense surfer distribution is
+// bit for bit the map arithmetic it replaced, stationary and through
+// drift phase shifts, and a stationary surfer agrees bit for bit with
+// the site-level Site.NextDistributionInto.
+func TestNextDistributionIntoBitIdentical(t *testing.T) {
+	t.Run("stationary", func(t *testing.T) {
+		site := mustSite(t, 3)
+		s := NewSurfer(rng.New(4), site, 0.85)
+		checkDenseMatchesMap(t, s)
+		got := make([]float64, len(site.Pages))
+		want := make([]float64, len(site.Pages))
+		for page := range site.Pages {
+			s.NextDistributionInto(page, got)
+			site.NextDistributionInto(page, 0.85, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("page %d: surfer[%d] = %v, site %v", page, i, got[i], want[i])
+				}
+			}
+		}
+	})
+	t.Run("drift", func(t *testing.T) {
+		s := driftSite(t, 7, 10)
+		for step := 0; step < 60; step++ {
+			checkDenseMatchesMap(t, s)
+			s.Step()
+		}
+		if s.Phase() != 6 {
+			t.Fatalf("Phase() = %d after 60 steps at cadence 10, want 6", s.Phase())
+		}
+	})
+}
