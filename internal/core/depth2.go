@@ -20,13 +20,14 @@ import "fmt"
 // Depth2Stats extends SolverStats with continuation-solve accounting.
 type Depth2Stats struct {
 	SolverStats
-	ContinuationSolves int64 // inner SolveSKP calls (after memoisation)
+	ContinuationSolves int64 // inner one-step SKP solves (after memoisation)
 }
 
 // SolveSKPDepth2 maximises the exact two-step objective over the canonical
 // search space. Successor weights are the transition probabilities P_ξ;
 // each successor problem should carry that state's own candidates and
-// viewing time. Inner problems are solved with the one-step SolveSKP.
+// viewing time. Inner problems are solved with the one-step SolveSKP
+// search, on one Solver reused across the memoised continuation solves.
 func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats, error) {
 	var stats Depth2Stats
 	if err := p.Validate(); err != nil {
@@ -47,6 +48,7 @@ func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats,
 	// h(st): expected optimal continuation gain when carrying st into the
 	// next round. Memoised; h(0) is the anchor used by the bound.
 	memo := map[float64]float64{}
+	solver := NewSolver()
 	h := func(st float64) float64 {
 		if v, ok := memo[st]; ok {
 			return v
@@ -61,13 +63,13 @@ func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats,
 			if q.Viewing < 0 {
 				q.Viewing = 0
 			}
-			plan, _, err := SolveSKP(q)
+			plan, _, err := solver.Solve(q, Options{})
 			if err != nil {
 				// Successors were validated; reducing v cannot invalidate.
 				panic(fmt.Sprintf("core: continuation solve failed: %v", err))
 			}
 			stats.ContinuationSolves++
-			g := gainUnchecked(q, plan)
+			g := gainUnchecked(q, plan) // read before the next Solve reuses plan.Items
 			total += wp.Weight * g
 		}
 		memo[st] = total
@@ -75,13 +77,12 @@ func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats,
 	}
 	h0 := h(0)
 
-	const eps = 1e-12
 	best := h0 // the empty plan: no stretch, full continuation value
 	bestSel := make([]bool, n)
 	cur := make([]bool, n)
 
 	record := func(v float64, extra int) {
-		if v > best+eps {
+		if v > best+solverEps {
 			best = v
 			copy(bestSel, cur)
 			if extra >= 0 {
@@ -99,7 +100,7 @@ func SolveSKPDepth2(p Problem, successors []WeightedProblem) (Plan, Depth2Stats,
 		}
 		// Bound: remaining one-step gain can't exceed the Dantzig fill and
 		// the continuation can't exceed h(0).
-		if g+dantzigGain(sorted, j, residual)+h0 <= best+eps {
+		if g+dantzigGain(sorted, j, residual)+h0 <= best+solverEps {
 			stats.Prunes++
 			return
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -43,9 +44,24 @@ func FuzzSolveSKPAgainstBrute(f *testing.F) {
 			t.Fatalf("generated invalid problem: %v", err)
 		}
 
-		plan, _, err := SolveSKP(p)
+		plan, stats, err := SolveSKP(p)
 		if err != nil {
 			t.Fatalf("solver error: %v", err)
+		}
+		// One Solver shared across A, an unrelated B, then A again: the
+		// second A must not see B's scratch, and both must equal the
+		// fresh-solver result.
+		s := NewSolver()
+		planA, statsA, errA := s.Solve(p, Options{})
+		idsA := planA.IDs()
+		if _, _, err := s.Solve(unrelatedProblem(p), Options{NetworkLambda: 0.1}); err != nil {
+			t.Fatalf("unrelated solve: %v", err)
+		}
+		planA2, statsA2, errA2 := s.Solve(p, Options{})
+		if errA != nil || errA2 != nil || statsA != stats || statsA2 != stats ||
+			!reflect.DeepEqual(idsA, plan.IDs()) || !reflect.DeepEqual(planA2.IDs(), idsA) {
+			t.Fatalf("shared solver: A %v %+v, A again %v %+v; fresh %v %+v",
+				idsA, statsA, planA2.IDs(), statsA2, plan.IDs(), stats)
 		}
 		got, err := Gain(p, plan)
 		if err != nil {
@@ -129,4 +145,15 @@ func FuzzArbitrate(f *testing.F) {
 			t.Fatalf("used %d free slots of %d", freeUsed, free)
 		}
 	})
+}
+
+// unrelatedProblem derives a problem of a different size, order and
+// viewing time from p, for interleaving with p on a shared Solver.
+func unrelatedProblem(p Problem) Problem {
+	n := len(p.Items) + 3
+	items := make([]Item, n)
+	for i := range items {
+		items[i] = Item{ID: 100 + i, Prob: 1 / float64(n), Retrieval: float64(n - i)}
+	}
+	return Problem{Items: items, Viewing: p.Viewing/2 + 1, TotalProb: 1}
 }

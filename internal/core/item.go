@@ -77,9 +77,16 @@ func (p Problem) EffectiveTotalProb() float64 {
 	return p.SumProb()
 }
 
+// smallItems is the list length up to which the canonical sort and the
+// duplicate-ID check run as in-place quadratic scans: they allocate
+// nothing, and the simulators' candidate lists (MaxCandidates) stay below
+// it. Longer lists use the library stable sort and a seen-map.
+const smallItems = 64
+
 // Validate checks the instance: finite non-negative probabilities, strictly
 // positive finite retrieval times, non-negative viewing time, unique IDs,
-// and Σ P_i ≤ TotalProb (within ProbTolerance) when TotalProb is set.
+// and Σ P_i ≤ TotalProb (within ProbTolerance) when TotalProb is set. It
+// allocates nothing for up to smallItems items unless it reports an error.
 func (p Problem) Validate() error {
 	if math.IsNaN(p.Viewing) || math.IsInf(p.Viewing, 0) || p.Viewing < 0 {
 		return fmt.Errorf("%w: viewing time %v", ErrBadProblem, p.Viewing)
@@ -87,7 +94,10 @@ func (p Problem) Validate() error {
 	if math.IsNaN(p.TotalProb) || math.IsInf(p.TotalProb, 0) || p.TotalProb < 0 {
 		return fmt.Errorf("%w: total probability %v", ErrBadProblem, p.TotalProb)
 	}
-	seen := make(map[int]bool, len(p.Items))
+	var seen map[int]bool
+	if len(p.Items) > smallItems {
+		seen = make(map[int]bool, len(p.Items))
+	}
 	var sum float64
 	for i, it := range p.Items {
 		if math.IsNaN(it.Prob) || math.IsInf(it.Prob, 0) || it.Prob < 0 || it.Prob > 1+ProbTolerance {
@@ -96,10 +106,21 @@ func (p Problem) Validate() error {
 		if math.IsNaN(it.Retrieval) || math.IsInf(it.Retrieval, 0) || it.Retrieval <= 0 {
 			return fmt.Errorf("%w: item %d (id %d) retrieval time %v (must be > 0)", ErrBadProblem, i, it.ID, it.Retrieval)
 		}
-		if seen[it.ID] {
+		dup := false
+		if seen != nil {
+			dup = seen[it.ID]
+			seen[it.ID] = true
+		} else {
+			for _, prev := range p.Items[:i] {
+				if prev.ID == it.ID {
+					dup = true
+					break
+				}
+			}
+		}
+		if dup {
 			return fmt.Errorf("%w: duplicate item id %d", ErrBadProblem, it.ID)
 		}
-		seen[it.ID] = true
 		sum += it.Prob
 	}
 	if p.TotalProb > 0 && sum > p.TotalProb+ProbTolerance {
@@ -115,16 +136,41 @@ func (p Problem) Validate() error {
 func CanonicalOrder(items []Item) []Item {
 	out := make([]Item, len(items))
 	copy(out, items)
-	sort.SliceStable(out, func(a, b int) bool {
-		if out[a].Prob != out[b].Prob {
-			return out[a].Prob > out[b].Prob
-		}
-		if out[a].Retrieval != out[b].Retrieval {
-			return out[a].Retrieval < out[b].Retrieval
-		}
-		return out[a].ID < out[b].ID
-	})
+	sortCanonical(out)
 	return out
+}
+
+// sortCanonical sorts items in place into CanonicalOrder's order. The
+// condition-(5) key with its ID tie-break is a total order on items
+// without NaN fields, so the allocation-free insertion sort used up to
+// smallItems items and the library stable sort used above produce the
+// same permutation.
+func sortCanonical(items []Item) {
+	if len(items) > smallItems {
+		sort.SliceStable(items, func(a, b int) bool { return canonicalLess(items[a], items[b]) })
+		return
+	}
+	for i := 1; i < len(items); i++ {
+		it := items[i]
+		j := i - 1
+		for j >= 0 && canonicalLess(it, items[j]) {
+			items[j+1] = items[j]
+			j--
+		}
+		items[j+1] = it
+	}
+}
+
+// canonicalLess is the condition-(5) order: probability descending,
+// retrieval ascending, ID ascending.
+func canonicalLess(a, b Item) bool {
+	if a.Prob != b.Prob {
+		return a.Prob > b.Prob
+	}
+	if a.Retrieval != b.Retrieval {
+		return a.Retrieval < b.Retrieval
+	}
+	return a.ID < b.ID
 }
 
 // Canonical returns a copy of the problem with its items in canonical order.

@@ -50,13 +50,13 @@ type Options struct {
 	// viewing time and thus reducing the asset for the next prefetch";
 	// setting StretchCost to the expected marginal prefetch density of the
 	// successor problems prices that intrusion (see SolveSKPStretchAware).
-	// Must be >= 0.
+	// Must be finite and >= 0.
 	StretchCost float64
 	// NetworkLambda trades access improvement against network usage
 	// (paper §6 future work): the objective becomes
 	// g°(F) − λ·Σ_{i∈F}(1−P_i)·r_i, so each item's effective profit is
 	// r_i·((1+λ)·P_i − λ) and low-probability candidates drop out as λ
-	// grows. Must be >= 0.
+	// grows. Must be finite and >= 0.
 	NetworkLambda float64
 	// DisableBound turns off Theorem-2 pruning (for the ablation that
 	// counts how many nodes the bound saves).
@@ -80,127 +80,10 @@ func SolveSKPPaper(p Problem) (Plan, SolverStats, error) {
 	return SolveSKPOpts(p, Options{Mode: DeltaPaperTail})
 }
 
-// SolveSKPMode dispatches on the given DeltaMode.
-func SolveSKPMode(p Problem, mode DeltaMode) (Plan, SolverStats, error) {
-	return SolveSKPOpts(p, Options{Mode: mode})
-}
-
-// SolveSKPOpts is the general entry point; see Options.
+// SolveSKPOpts is the general entry point; see Options. It runs a fresh
+// Solver, so the returned plan aliases nothing.
 func SolveSKPOpts(p Problem, opts Options) (Plan, SolverStats, error) {
-	var stats SolverStats
-	if err := p.Validate(); err != nil {
-		return Plan{}, stats, err
-	}
-	if opts.StretchCost < 0 || opts.NetworkLambda < 0 {
-		return Plan{}, stats, fmt.Errorf("%w: negative StretchCost or NetworkLambda", ErrBadProblem)
-	}
-	sorted := CanonicalOrder(p.Items)
-	n := len(sorted)
-	if n == 0 {
-		return Plan{}, stats, nil
-	}
-
-	totalProb := p.EffectiveTotalProb()
-	lambda := opts.NetworkLambda
-
-	// profit[i] is the gain contribution of wholly prefetching item i:
-	// P_i·r_i in the base model, reduced by the network-usage price when
-	// λ > 0. Clamped at zero profit items are still enumerated (they are
-	// simply never inserted, since δ would be non-positive).
-	profit := make([]float64, n)
-	for i, it := range sorted {
-		profit[i] = it.Retrieval * ((1+lambda)*it.Prob - lambda)
-	}
-	// tailP[j] = Σ_{i>=j} P_i in canonical order (used by DeltaPaperTail).
-	tailP := make([]float64, n+1)
-	for i := n - 1; i >= 0; i-- {
-		tailP[i] = tailP[i+1] + sorted[i].Prob
-	}
-
-	const eps = 1e-12
-	best := 0.0 // the empty plan
-	bestSel := make([]bool, n)
-	cur := make([]bool, n)
-
-	// coeff returns the stretch penalty coefficient for inserting item j as
-	// the stretching final item, given Σ P over the currently selected K.
-	// Both variants dominate profit[j]/r_j, which keeps the Dantzig bound
-	// sound (stretching never pays fractionally; see DESIGN.md).
-	coeff := func(j int, sumPK float64) float64 {
-		base := totalProb - sumPK
-		if opts.Mode == DeltaPaperTail {
-			base = tailP[j]
-		}
-		return base + opts.StretchCost
-	}
-
-	// bound returns an upper bound on additional profit from items j..n-1
-	// under residual capacity: the Dantzig fractional fill over profits.
-	bound := func(j int, residual float64) float64 {
-		var u float64
-		for i := j; i < n; i++ {
-			if profit[i] <= 0 {
-				continue // canonical order is not profit-sorted once λ>0 clamps
-			}
-			if sorted[i].Retrieval <= residual {
-				u += profit[i]
-				residual -= sorted[i].Retrieval
-				continue
-			}
-			if residual > 0 {
-				u += profit[i] * residual / sorted[i].Retrieval
-			}
-			break
-		}
-		return u
-	}
-
-	record := func(g float64, extra int) {
-		if g > best+eps {
-			best = g
-			copy(bestSel, cur)
-			if extra >= 0 {
-				bestSel[extra] = true
-			}
-		}
-	}
-
-	var dfs func(j int, residual, g, sumPK float64)
-	dfs = func(j int, residual, g, sumPK float64) {
-		stats.Nodes++
-		record(g, -1)
-		if j == n || residual <= 0 {
-			return
-		}
-		if !opts.DisableBound && g+bound(j, residual) <= best+eps {
-			stats.Prunes++
-			return
-		}
-		it := sorted[j]
-		st := Stretch(it.Retrieval, residual)
-		switch {
-		case st > 0:
-			// Inserting j stretches the knapsack and completes the plan.
-			if delta := profit[j] - coeff(j, sumPK)*st; delta > 0 {
-				record(g+delta, j)
-			}
-		case profit[j] > 0:
-			// Inserting j keeps the plan within capacity.
-			cur[j] = true
-			dfs(j+1, residual-it.Retrieval, g+profit[j], sumPK+it.Prob)
-			cur[j] = false
-		}
-		dfs(j+1, residual, g, sumPK)
-	}
-	dfs(0, p.Viewing, 0, 0)
-
-	plan := Plan{}
-	for i, takeIt := range bestSel {
-		if takeIt {
-			plan.Items = append(plan.Items, sorted[i])
-		}
-	}
-	return plan, stats, nil
+	return NewSolver().Solve(p, opts)
 }
 
 // Waste returns the expected wasted network time of prefetching the plan:

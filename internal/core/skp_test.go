@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -448,6 +449,22 @@ func TestSolveSKPOptsRejectsNegativeKnobs(t *testing.T) {
 	if _, _, err := SolveSKPOpts(p, Options{NetworkLambda: -1}); err == nil {
 		t.Fatal("negative NetworkLambda accepted")
 	}
+	// Non-finite knobs are rejected too: unchecked, on the skpsolve sample
+	// problem (which plans [1 2]) a NaN λ plans nothing and a NaN or +Inf
+	// stretch price plans the KP-like [1 3].
+	sample := Problem{Items: []Item{
+		{ID: 1, Prob: 0.6, Retrieval: 4},
+		{ID: 2, Prob: 0.3, Retrieval: 5},
+		{ID: 3, Prob: 0.1, Retrieval: 2},
+	}, Viewing: 6}
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, opts := range []Options{{StretchCost: x}, {NetworkLambda: x}} {
+			plan, _, err := SolveSKPOpts(sample, opts)
+			if !errors.Is(err, ErrBadProblem) {
+				t.Fatalf("%+v: plan %v, error %v; want ErrBadProblem", opts, plan.IDs(), err)
+			}
+		}
+	}
 }
 
 func TestBruteForceCaps(t *testing.T) {
@@ -477,9 +494,10 @@ func benchSolve(b *testing.B, n int) {
 		items[i] = Item{ID: i, Prob: probs[i], Retrieval: float64(r.IntRange(1, 30))}
 	}
 	p := Problem{Items: items, Viewing: 50}
+	s := NewSolver()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := SolveSKP(p); err != nil {
+		if _, _, err := s.Solve(p, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

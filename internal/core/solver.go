@@ -2,14 +2,16 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
 )
 
-// Solver is a reusable SKP branch-and-bound: it solves the same problems as
-// SolveSKPOpts with the same plans, stats and errors, but keeps every piece
-// of per-solve scratch (canonical order, profit/tail prefix tables,
-// selection masks, the returned item list) between calls, so a simulation
-// that solves one SKP per client round allocates nothing in steady state.
+// Solver is the SKP branch-and-bound of Figure 3: a depth-first search
+// over the canonical order with the Theorem-2 bound and the Theorem-3
+// incremental δ. Every one-step SKP entry point (SolveSKPOpts and its
+// wrappers) runs on it. It keeps every piece of per-solve scratch
+// (canonical order, profit/tail prefix tables, selection masks, the
+// returned item list) between calls, so a simulation that solves one SKP
+// per client round allocates nothing in steady state.
 //
 // The Plan returned by Solve aliases the solver's scratch: it is valid only
 // until the next Solve call. Callers that retain plans must copy Items.
@@ -24,8 +26,6 @@ type Solver struct {
 	out     []Item
 
 	// per-solve state consulted by the recursive search
-	n            int
-	viewing      float64
 	totalProb    float64
 	mode         DeltaMode
 	stretchCost  float64
@@ -37,57 +37,35 @@ type Solver struct {
 // NewSolver returns an empty solver; scratch grows on first use.
 func NewSolver() *Solver { return &Solver{} }
 
-// solverEps mirrors the eps of SolveSKPOpts: improvements and bound
-// comparisons use the same slack so the two searches prune identically.
+// solverEps is the slack of the branch-and-bound searches: an incumbent is
+// replaced only by a gain larger by more than solverEps, and a subtree is
+// pruned when its bound does not exceed the incumbent by more than it.
 const solverEps = 1e-12
 
-// validate replicates Problem.Validate plus the Options check of
-// SolveSKPOpts without allocating: duplicate detection runs as a quadratic
-// scan over the (small, MaxCandidates-bounded) candidate list instead of
-// building a seen-map. Checks run in the same order, so the first error
-// reported is identical.
-func (s *Solver) validate(p Problem, opts Options) error {
-	if isBadFloat(p.Viewing) || p.Viewing < 0 {
-		return fmt.Errorf("%w: viewing time %v", ErrBadProblem, p.Viewing)
-	}
-	if isBadFloat(p.TotalProb) || p.TotalProb < 0 {
-		return fmt.Errorf("%w: total probability %v", ErrBadProblem, p.TotalProb)
-	}
-	var sum float64
-	for i, it := range p.Items {
-		if isBadFloat(it.Prob) || it.Prob < 0 || it.Prob > 1+ProbTolerance {
-			return fmt.Errorf("%w: item %d (id %d) probability %v", ErrBadProblem, i, it.ID, it.Prob)
+// validate rejects a negative or non-finite StretchCost or NetworkLambda.
+func (o Options) validate() error {
+	if badKnob(o.StretchCost) || badKnob(o.NetworkLambda) {
+		what := "non-finite"
+		if o.StretchCost < 0 || o.NetworkLambda < 0 {
+			what = "negative"
 		}
-		if isBadFloat(it.Retrieval) || it.Retrieval <= 0 {
-			return fmt.Errorf("%w: item %d (id %d) retrieval time %v (must be > 0)", ErrBadProblem, i, it.ID, it.Retrieval)
-		}
-		for j := 0; j < i; j++ {
-			if p.Items[j].ID == it.ID {
-				return fmt.Errorf("%w: duplicate item id %d", ErrBadProblem, it.ID)
-			}
-		}
-		sum += it.Prob
-	}
-	if p.TotalProb > 0 && sum > p.TotalProb+ProbTolerance {
-		return fmt.Errorf("%w: Σ P_i = %v exceeds TotalProb = %v", ErrBadProblem, sum, p.TotalProb)
-	}
-	if opts.StretchCost < 0 || opts.NetworkLambda < 0 {
-		return fmt.Errorf("%w: negative StretchCost or NetworkLambda", ErrBadProblem)
+		return fmt.Errorf("%w: %s StretchCost or NetworkLambda", ErrBadProblem, what)
 	}
 	return nil
 }
 
-// isBadFloat reports NaN or ±Inf without the math package's Abs round trip.
-func isBadFloat(f float64) bool { return f != f || f > maxFinite || f < -maxFinite }
-
-const maxFinite = 1.7976931348623157e308
+// badKnob reports a solver knob that is not a finite number >= 0.
+func badKnob(x float64) bool { return !(x >= 0) || math.IsInf(x, 0) }
 
 // Solve runs the branch-and-bound over the solver's scratch. The returned
 // Plan's Items slice is owned by the solver and overwritten by the next
 // Solve.
 func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 	s.stats = SolverStats{}
-	if err := s.validate(p, opts); err != nil {
+	if err := p.Validate(); err != nil {
+		return Plan{}, s.stats, err
+	}
+	if err := opts.validate(); err != nil {
 		return Plan{}, s.stats, err
 	}
 	n := len(p.Items)
@@ -95,31 +73,32 @@ func (s *Solver) Solve(p Problem, opts Options) (Plan, SolverStats, error) {
 		return Plan{}, s.stats, nil
 	}
 	s.grow(n)
-	s.n = n
-	s.viewing = p.Viewing
 	s.totalProb = p.EffectiveTotalProb()
 	s.mode = opts.Mode
 	s.stretchCost = opts.StretchCost
 	s.disableBound = opts.DisableBound
 
 	copy(s.sorted, p.Items)
-	s.canonicalSort()
+	sortCanonical(s.sorted)
 
+	// profit[i] is the gain contribution of wholly prefetching item i:
+	// P_i·r_i in the base model, reduced by the network-usage price when
+	// λ > 0. Items with non-positive profit are still enumerated; they are
+	// never inserted, since δ would be non-positive.
 	lambda := opts.NetworkLambda
 	for i := 0; i < n; i++ {
 		it := s.sorted[i]
 		s.profit[i] = it.Retrieval * ((1+lambda)*it.Prob - lambda)
 	}
+	// tailP[j] = Σ_{i>=j} P_i in canonical order (used by DeltaPaperTail).
 	s.tailP[n] = 0
 	for i := n - 1; i >= 0; i-- {
 		s.tailP[i] = s.tailP[i+1] + s.sorted[i].Prob
 	}
 
-	s.best = 0
-	for i := 0; i < n; i++ {
-		s.bestSel[i] = false
-		s.cur[i] = false
-	}
+	s.best = 0 // the empty plan
+	clear(s.bestSel)
+	clear(s.cur)
 	s.dfs(0, p.Viewing, 0, 0)
 
 	s.out = s.out[:0]
@@ -147,42 +126,10 @@ func (s *Solver) grow(n int) {
 	s.cur = s.cur[:n]
 }
 
-// canonicalSort orders s.sorted by the paper's condition (5) — probability
-// descending, retrieval ascending, ID ascending. IDs are unique, so the key
-// is a total order and an in-place insertion sort (allocation-free, unlike
-// sort.SliceStable's reflection swapper) produces exactly CanonicalOrder's
-// permutation. Candidate lists are MaxCandidates-bounded in the simulators;
-// large inputs fall back to the stable library sort.
-func (s *Solver) canonicalSort() {
-	items := s.sorted
-	if len(items) > 64 {
-		sort.SliceStable(items, func(a, b int) bool { return canonicalLess(items[a], items[b]) })
-		return
-	}
-	for i := 1; i < len(items); i++ {
-		it := items[i]
-		j := i - 1
-		for j >= 0 && canonicalLess(it, items[j]) {
-			items[j+1] = items[j]
-			j--
-		}
-		items[j+1] = it
-	}
-}
-
-// canonicalLess is the condition-(5) order used by CanonicalOrder.
-func canonicalLess(a, b Item) bool {
-	if a.Prob != b.Prob {
-		return a.Prob > b.Prob
-	}
-	if a.Retrieval != b.Retrieval {
-		return a.Retrieval < b.Retrieval
-	}
-	return a.ID < b.ID
-}
-
 // coeff returns the stretch-penalty coefficient for inserting item j as the
-// stretching final item, given Σ P over the currently selected K.
+// stretching final item, given Σ P over the currently selected K. Both
+// modes dominate profit[j]/r_j, which keeps the Dantzig bound sound
+// (stretching never pays fractionally).
 func (s *Solver) coeff(j int, sumPK float64) float64 {
 	base := s.totalProb - sumPK
 	if s.mode == DeltaPaperTail {
@@ -195,9 +142,9 @@ func (s *Solver) coeff(j int, sumPK float64) float64 {
 // from items j..n-1 under the residual capacity.
 func (s *Solver) bound(j int, residual float64) float64 {
 	var u float64
-	for i := j; i < s.n; i++ {
+	for i := j; i < len(s.sorted); i++ {
 		if s.profit[i] <= 0 {
-			continue
+			continue // canonical order is not profit-sorted once λ > 0 clamps
 		}
 		if s.sorted[i].Retrieval <= residual {
 			u += s.profit[i]
@@ -224,12 +171,12 @@ func (s *Solver) record(g float64, extra int) {
 	}
 }
 
-// dfs is the branch-and-bound of SolveSKPOpts as a method: identical
-// visit order, pruning and incumbent updates, no per-solve closures.
+// dfs decides item j: first insert it (as the stretching final item when
+// it overruns the residual, which completes the plan), then exclude it.
 func (s *Solver) dfs(j int, residual, g, sumPK float64) {
 	s.stats.Nodes++
 	s.record(g, -1)
-	if j == s.n || residual <= 0 {
+	if j == len(s.sorted) || residual <= 0 {
 		return
 	}
 	if !s.disableBound && g+s.bound(j, residual) <= s.best+solverEps {

@@ -2,104 +2,20 @@ package core
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"prefetch/internal/rng"
 )
 
-// The reusable Solver must be observationally identical to SolveSKPOpts:
-// same plan, same node/prune counts, same errors — across modes, stretch
-// costs, λ values and repeated solves over shared scratch.
-func TestSolverMatchesSolveSKPOpts(t *testing.T) {
-	r := rng.New(301)
-	s := NewSolver()
-	optsFor := func(iter int) Options {
-		opts := Options{}
-		if iter%2 == 1 {
-			opts.Mode = DeltaPaperTail
-		}
-		if iter%3 == 1 {
-			opts.StretchCost = float64(r.IntRange(0, 3))
-		}
-		if iter%5 == 2 {
-			opts.NetworkLambda = float64(r.IntRange(1, 6)) / 10
-		}
-		if iter%7 == 3 {
-			opts.DisableBound = true
-		}
-		return opts
-	}
-	for iter := 0; iter < 400; iter++ {
-		p := randProblem(r, r.IntRange(1, 12), 0.5, 30, 40)
-		if iter%4 == 2 {
-			p.TotalProb = 1
-		}
-		if iter%11 == 6 {
-			p.Items = nil // the n == 0 early return
-		}
-		opts := optsFor(iter)
-		wantPlan, wantStats, wantErr := SolveSKPOpts(p, opts)
-		gotPlan, gotStats, gotErr := s.Solve(p, opts)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("iter %d: error mismatch: %v vs %v", iter, wantErr, gotErr)
-		}
-		if wantErr != nil {
-			continue
-		}
-		if gotStats != wantStats {
-			t.Fatalf("iter %d: stats %+v, want %+v", iter, gotStats, wantStats)
-		}
-		if len(gotPlan.Items) != len(wantPlan.Items) {
-			t.Fatalf("iter %d: plan %v, want %v", iter, gotPlan, wantPlan)
-		}
-		for i := range gotPlan.Items {
-			if gotPlan.Items[i] != wantPlan.Items[i] {
-				t.Fatalf("iter %d: plan %v, want %v", iter, gotPlan, wantPlan)
-			}
-		}
-	}
-}
-
-// The solver's inline validation must reject exactly what Problem.Validate
-// plus the Options check reject, with the same messages.
-func TestSolverValidationMatches(t *testing.T) {
-	nan := 0.0
-	nan = nan / nan //lint:ignore SA4012 deliberate NaN
-	bad := []struct {
-		p    Problem
-		opts Options
-	}{
-		{Problem{Viewing: -1}, Options{}},
-		{Problem{Viewing: nan}, Options{}},
-		{Problem{TotalProb: -0.5}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: -0.1, Retrieval: 1}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.5, Retrieval: 0}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.3, Retrieval: 1}, {ID: 1, Prob: 0.2, Retrieval: 2}}, Viewing: 1}, Options{}},
-		{Problem{Items: []Item{{ID: 1, Prob: 0.9, Retrieval: 1}, {ID: 2, Prob: 0.9, Retrieval: 1}}, Viewing: 1, TotalProb: 1}, Options{}},
-		{Problem{Viewing: 1}, Options{StretchCost: -1}},
-		{Problem{Viewing: 1}, Options{NetworkLambda: -0.1}},
-	}
-	s := NewSolver()
-	for i, c := range bad {
-		_, _, wantErr := SolveSKPOpts(c.p, c.opts)
-		_, _, gotErr := s.Solve(c.p, c.opts)
-		if wantErr == nil {
-			t.Fatalf("case %d: reference solver accepted %+v", i, c.p)
-		}
-		if gotErr == nil || gotErr.Error() != wantErr.Error() {
-			t.Fatalf("case %d: error %q, want %q", i, gotErr, wantErr)
-		}
-	}
-}
-
-// Repeated solves over the shared scratch must not alias: a plan read
-// before the next Solve is the same value a fresh solver would produce,
-// and the canonical sort is exactly CanonicalOrder's permutation.
+// The solver's sorted scratch after each of many solves on one Solver is
+// the library stable sort's permutation under canonicalLess, on both sides
+// of the smallItems threshold where sortCanonical switches algorithms.
 func TestSolverCanonicalSort(t *testing.T) {
 	r := rng.New(302)
 	s := NewSolver()
 	for iter := 0; iter < 200; iter++ {
-		p := randProblem(r, r.IntRange(1, 20), 0.4, 10, 5)
+		p := randProblem(r, r.IntRange(1, 2*smallItems), 0.4, 10, 5)
 		// Inject probability ties so the retrieval/ID tie-breaks exercise.
 		for i := range p.Items {
 			if i%3 == 0 {
@@ -109,9 +25,34 @@ func TestSolverCanonicalSort(t *testing.T) {
 		if _, _, err := s.Solve(p, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		want := CanonicalOrder(p.Items)
+		want := append([]Item(nil), p.Items...)
+		sort.SliceStable(want, func(a, b int) bool { return canonicalLess(want[a], want[b]) })
 		if !reflect.DeepEqual(s.sorted, want) {
 			t.Fatalf("iter %d: canonical sort %v, want %v", iter, s.sorted, want)
 		}
+		if got := CanonicalOrder(p.Items); !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d: CanonicalOrder %v, want %v", iter, got, want)
+		}
+	}
+}
+
+// A steady-state Solve on a simulator-sized problem allocates nothing:
+// validation, the canonical sort and the search all run on the solver's
+// scratch, with the network price on so the λ>0 profit path is covered.
+func TestSolverSteadyStateAllocs(t *testing.T) {
+	r := rng.New(303)
+	p := randProblem(r, 16, 0.5, 30, 50)
+	opts := Options{NetworkLambda: 0.2}
+	s := NewSolver()
+	if _, _, err := s.Solve(p, opts); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, err := s.Solve(p, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Solve allocates %v times per call, want 0", allocs)
 	}
 }

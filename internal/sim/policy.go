@@ -48,7 +48,7 @@ func (p SKPPolicy) Name() string {
 
 // Plan implements Policy.
 func (p SKPPolicy) Plan(prob core.Problem) (core.Plan, error) {
-	plan, _, err := core.SolveSKPMode(prob, p.Mode)
+	plan, _, err := core.SolveSKPOpts(prob, core.Options{Mode: p.Mode})
 	return plan, err
 }
 
