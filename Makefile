@@ -24,12 +24,15 @@ SHA := $(shell git rev-parse --short=12 HEAD 2>/dev/null || echo dev)
 # layer's overhead — off must stay within noise of the untraced
 # baseline), the learned predictors' observe/predict cycle, the
 # multi-replica fleet round (routing + failure injection overhead on top
-# of the single-server round), and the SKP planner layer: one reused
-# core.Solver at 25 and 100 candidates. -benchmem feeds the allocation gate:
+# of the single-server round), the SKP planner layer (one reused
+# core.Solver at 25 and 100 candidates), and the simulators' cache layer:
+# cache.LRUSet lookups, recency updates and inserts over a Zipf page
+# stream at the client (20) and server (64) cache sizes, one on each side
+# of its scan/index threshold. -benchmem feeds the allocation gate:
 # cmd/benchjson fails any tracked benchmark whose allocs/op grows past
 # its baseline.
-BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundShared|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound|BenchmarkSolveSKP25|BenchmarkSolveSKP100)$$
-BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/core
+BENCH_PATTERN := ^(BenchmarkEventQueue|BenchmarkSchedulerDequeue|BenchmarkSchedulerComplete|BenchmarkMultiClientRound|BenchmarkMultiClientRoundLearned|BenchmarkMultiClientRoundShared|BenchmarkMultiClientRoundDrift|BenchmarkMultiClientRoundTracerOff|BenchmarkMultiClientRoundTraced|BenchmarkPredictorObserve|BenchmarkPredictorObserveDecay|BenchmarkFleetRound|BenchmarkSolveSKP25|BenchmarkSolveSKP100|BenchmarkLRUSet)$$
+BENCH_PKGS    := ./internal/eventq ./internal/schedsrv ./internal/multiclient ./internal/predict ./internal/fleet ./internal/core ./internal/cache
 BENCH_FLAGS   := -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -benchtime 300ms -count 3
 
 .PHONY: test lint lint-allows bench bench-raw bench-baseline clean-bench profile sweep-learned sweep-drift sweep-fleet trace

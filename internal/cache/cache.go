@@ -1,9 +1,17 @@
-// Package cache provides the client-side cache substrate for the
-// prefetch-cache integration (paper §5): a fixed-capacity, equal-item-size
-// cache with access bookkeeping (frequency, recency, insertion order) and a
-// family of victim policies — the paper's Pr-arbitration lives in
-// internal/core; this package supplies the container plus the classical
-// baselines (LRU, LFU, FIFO, delay-saving) used by extension experiments.
+// Package cache provides the cache substrate of the simulators. It has
+// two containers:
+//
+//   - Cache serves internal/sim, the paper's single-client harness for
+//     the prefetch-cache integration (paper §5): a fixed-capacity,
+//     equal-item-size cache with access bookkeeping (frequency, recency,
+//     insertion order) and a family of victim policies. The paper's
+//     Pr-arbitration lives in internal/core; this package supplies the
+//     container plus the classical baselines (LRU, LFU, FIFO,
+//     delay-saving) used by extension experiments.
+//   - LRUSet serves internal/multiclient, and through it internal/fleet:
+//     every client's private cache and every server's shared cache. Those
+//     caches only ever evict by LRU, so LRUSet keeps pages in flat slot
+//     arrays with two flags per page and no per-item bookkeeping.
 package cache
 
 import (

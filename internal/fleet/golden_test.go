@@ -154,6 +154,30 @@ func TestGoldenFleetShared(t *testing.T) {
 	}
 }
 
+// TestGoldenFleetLargeCache pins the digests of a hash-routed fleet with
+// failure injection whose replicas keep 64-slot server caches without
+// warming, so every cache insert comes from client traffic. Failures are
+// rare enough that the caches fill and evict (about 200 evictions over
+// the run). The digests were recorded while the caches were still
+// map-backed.
+func TestGoldenFleetLargeCache(t *testing.T) {
+	want := [2]string{
+		"082d4ccf3b98df6ed686e9d0859bc86b43e1c810d8413a08d27b22f0de1829b0",
+		"c4ad66dae5d2242f589424953e74e9234c464adea881400dc9cc7b017649c7d8",
+	}
+	base := multiclient.DefaultConfig()
+	base.Clients, base.Rounds, base.ServerConcurrency = 24, 60, 4
+	base.ServerCacheSlots = 64
+	base.Predict = predict.Config{Kind: predict.KindShared}
+	base.Adaptive = adaptive.Config{Kind: adaptive.KindAIMD}
+	base.Seed = 11
+	cfg := Config{Base: base, Replicas: 3, Router: KindHash, FailEvery: 200, RecoverAfter: 15}
+	plain := checkGolden(t, cfg, want)
+	if plain.Failures == 0 || plain.ServerCacheHits == 0 {
+		t.Errorf("run saw %d failures and %d server cache hits; want both > 0", plain.Failures, plain.ServerCacheHits)
+	}
+}
+
 // checkGolden runs cfg untraced and traced, checks that both report the
 // same Result and that the Result and trace digests are want, and
 // returns the untraced Result.

@@ -49,16 +49,19 @@ type client struct {
 	table  [][]core.Item
 	state  int
 
+	// cache is the client's private LRU cache, embedded by value so a
+	// lookup is one load away from the client; capacity 0 ⇒ per-round
+	// prefetch-only semantics.
+	//
 	// Page-indexed per-round state (the page space is dense 0..P-1, so
 	// arrays replace the seed's maps on the hot path). ready is a round
 	// stamp — ready[p] == round ⇔ a prefetch of p completed this round —
 	// so "clear the set" at round start is free (rounds start at 1, the
-	// zero stamp never matches). pending and specReady are plain flags
-	// with the seed's map semantics.
-	cache     *cache.Cache // nil ⇒ per-round prefetch-only semantics
-	ready     []int        // prefetches completed this round (cache == nil)
-	pending   []bool       // pages requested as prefetches, not yet completed
-	specReady []bool       // cached pages whose latest store was speculative and unused
+	// zero stamp never matches). pending is a plain flag with the seed's
+	// map semantics.
+	cache   cache.LRUSet
+	ready   []int  // prefetches completed this round (no cache)
+	pending []bool // pages requested as prefetches, not yet completed
 
 	round       int
 	roundsLeft  int
@@ -128,7 +131,6 @@ func newClient(id int, r *run, home *server, scripts *Scripts) (*client, error) 
 		tr:         r.tr,
 		ready:      make([]int, pages),
 		pending:    make([]bool, pages),
-		specReady:  make([]bool, pages),
 		roundsLeft: cfg.Rounds,
 		waitingFor: -1,
 	}
@@ -169,19 +171,13 @@ func newClient(id int, r *run, home *server, scripts *Scripts) (*client, error) 
 	}
 	c.ctrl = ctrl
 	c.ctrlStatic = cfg.Adaptive.Kind == "" || cfg.Adaptive.Kind == adaptive.KindStatic
-	if cfg.ClientCacheSlots > 0 {
-		cc, err := cache.New(cfg.ClientCacheSlots)
-		if err != nil {
-			return nil, err
-		}
-		c.cache = cc
-	}
+	c.cache.Init(cfg.ClientCacheSlots)
 	return c, nil
 }
 
 // holds reports whether the page is usable without a network fetch.
 func (c *client) holds(page int) bool {
-	if c.cache != nil {
+	if c.cache.Cap() > 0 {
 		return c.cache.Contains(page)
 	}
 	return c.ready[page] == c.round
@@ -190,19 +186,26 @@ func (c *client) holds(page int) bool {
 // store keeps a completed retrieval. Without a client cache the item is
 // usable only within the round that planned it (netsim.Session's
 // prefetch-only semantics: a stale leftover completing later is pure waste).
-// specReady tracks which resident pages owe their residency to an unused
-// speculative transfer: residency only changes through store and LRU
-// eviction, and attribution only happens while the page is held, so the
-// latest store always determines the flag correctly.
-func (c *client) store(req request) {
-	if c.cache == nil {
+// In the cache, the page carries the Speculative flag when unused is set:
+// its residency is owed to a speculative transfer that no demand has used
+// yet. The latest store decides the flag, and an eviction drops it with
+// the page.
+func (c *client) store(req request, unused bool) {
+	if c.cache.Cap() == 0 {
 		if req.round == c.round {
 			c.ready[req.page] = c.round
 		}
 		return
 	}
-	insertLRU(c.cache, req.page, c.site.Pages[req.page].Retrieval)
-	c.specReady[req.page] = !req.demand
+	var f cache.SlotFlag
+	if unused {
+		f = cache.Speculative
+	}
+	if slot := c.cache.Find(req.page); slot >= 0 {
+		c.cache.SetFlags(slot, f)
+		return
+	}
+	c.cache.Insert(req.page, f)
 }
 
 // startRound plans and issues this round's prefetches, draws the viewing
@@ -418,20 +421,25 @@ func (c *client) request(page int) {
 			c.tr.Emit(ev)
 		}
 	}
-	if c.holds(page) {
-		if c.cache != nil {
-			c.cache.RecordAccess(page)
-			if c.specReady[page] {
+	hit := false
+	if c.cache.Cap() > 0 {
+		if slot := c.cache.Find(page); slot >= 0 {
+			hit = true
+			c.cache.Touch(slot)
+			if f := c.cache.Flags(slot); f&cache.Speculative != 0 {
 				c.prefetchUseful++
-				c.specReady[page] = false
+				c.cache.SetFlags(slot, f&^cache.Speculative)
 				c.markSpecUsed(page)
 			}
-		} else {
-			// Without a client cache every held page was prefetched this
-			// round: the hit is speculation paying off by definition.
-			c.prefetchUseful++
-			c.markSpecUsed(page)
 		}
+	} else if c.ready[page] == c.round {
+		// Without a client cache every held page was prefetched this
+		// round: the hit is speculation paying off by definition.
+		hit = true
+		c.prefetchUseful++
+		c.markSpecUsed(page)
+	}
+	if hit {
 		c.lastDemandWait = 0
 		c.respond(0)
 		return
@@ -486,13 +494,14 @@ func (c *client) onTransferDone(req request, waited float64) {
 			c.specLog = append(c.specLog, specRecord{page: req.page, round: req.round, prob: req.prob})
 		}
 	}
-	c.store(req)
-	if c.waitingFor == req.page {
+	served := c.waitingFor == req.page
+	c.store(req, !req.demand && !served)
+	if served {
 		if !req.demand {
 			// A promoted prefetch finishing the demand it was promoted
-			// for: the speculative transfer served a real access.
+			// for: the speculative transfer served a real access, so it
+			// was stored as used.
 			c.prefetchUseful++
-			c.specReady[req.page] = false
 			c.markSpecUsed(req.page)
 		}
 		c.waitingFor = -1

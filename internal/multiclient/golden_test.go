@@ -14,8 +14,9 @@ import (
 // goldenConfigs is one contended run per scheduling discipline and per λ
 // controller, plus the shapes that take their own code paths: the shared
 // predictor with a warmed server cache (the inline client), drift, the
-// round-stamped prefetch-only client without a cache, and the
-// no-prefetch baseline.
+// round-stamped prefetch-only client without a cache, client and server
+// caches large enough to look pages up through an index rather than a
+// scan, and the no-prefetch baseline.
 func goldenConfigs() map[string]Config {
 	base := DefaultConfig()
 	base.Clients = 6
@@ -51,6 +52,8 @@ func goldenConfigs() map[string]Config {
 			c.DriftEvery = 9
 		}),
 		"no-client-cache": with(func(c *Config) { c.ClientCacheSlots = 0 }),
+		"client-cache-64": with(func(c *Config) { c.ClientCacheSlots = 64 }),
+		"server-cache-64": with(func(c *Config) { c.ServerCacheSlots = 64 }),
 		"baseline":        with(func(c *Config) { c.DisablePrefetch = true }),
 	}
 }
@@ -58,7 +61,8 @@ func goldenConfigs() map[string]Config {
 // TestGoldenDigests pins the SHA-256 of each golden config's full Result
 // (every field, floats as bits) and of its JSONL decision trace to
 // digests recorded before the client/server state machine was shared
-// with the fleet. The untraced run must report the same Result as the
+// with the fleet (the two 64-slot cache configs: while the caches were
+// still map-backed). The untraced run must report the same Result as the
 // traced one.
 func TestGoldenDigests(t *testing.T) {
 	want := map[string][2]string{
@@ -77,6 +81,14 @@ func TestGoldenDigests(t *testing.T) {
 		"baseline": {
 			"fcd00520c4d98e2d259a5a3b22562352f3fc91af722ba7ab14b567fdb3886cf2",
 			"1559ebf3d70ec10c87ce8767e59b970d428a4cdcc05633346e2889d86ca288e6",
+		},
+		"client-cache-64": {
+			"3bc00fd7d23e03aa684f18ec8ca53b36271f18ec597105fcaeb751c9a44b27a9",
+			"23b84d41ef02407bbb9ba41d49c0313db9680841a638b3c3744f13611fefee6a",
+		},
+		"server-cache-64": {
+			"4c8570450f5b3c0c48f058f493f8d99a62ea9be7db0e903e1cd838ad0a9d56ae",
+			"a9111bc0a9949e90117f4e65823e5884d73ba5d4d6958ebd0b08fd1a6020842d",
 		},
 		"delay-gradient": {
 			"29650e6894d36073197c089a2aae1d409f6a14ee728c85383f11e3bc676c4428",

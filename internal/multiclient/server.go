@@ -48,7 +48,7 @@ type server struct {
 	run *run
 
 	sched *schedsrv.Scheduler
-	cache *cache.Cache // nil ⇒ no server cache (or down)
+	cache cache.LRUSet // capacity 0 ⇒ no server cache (or down)
 	tr    obs.Tracer   // replica-stamped in routed runs; nil = disabled
 
 	served    int64
@@ -57,11 +57,11 @@ type server struct {
 	// Server-side prefetching (Config.WarmServerCache): the warmer
 	// pre-admits this server's aggregate model's top-probability pages
 	// into the cache on a per-viewing-time cadence, so population-hot
-	// pages are fast before any client's traffic demands them.
+	// pages are fast before any client's traffic demands them. Pages the
+	// warmer placed carry the cache.Warm flag until they are evicted.
 	agg          *predict.Aggregate
-	warmEvery    float64      // minimum simulated time between warm passes
-	warmedAt     float64      // time of the last warm pass
-	warmPages    map[int]bool // resident pages placed by the warmer, not yet evicted
+	warmEvery    float64 // minimum simulated time between warm passes; 0 = warming off
+	warmedAt     float64 // time of the last warm pass
 	warmInserted int64
 	warmHits     int64
 
@@ -132,14 +132,7 @@ func (s *server) build() error {
 	sched.ServiceTime = s.serviceTime
 	sched.Done = s.done
 	s.sched = sched
-	s.cache = nil
-	if cfg.ServerCacheSlots > 0 {
-		c, err := cache.New(cfg.ServerCacheSlots)
-		if err != nil {
-			return err
-		}
-		s.cache = c
-	}
+	s.cache.Init(cfg.ServerCacheSlots)
 	return nil
 }
 
@@ -201,12 +194,12 @@ func (s *server) serviceTime(r *schedsrv.Request) float64 {
 		s.served++
 	}
 	service := r.Service
-	if s.cache != nil && s.cache.Contains(r.Page) {
-		s.cache.RecordAccess(r.Page)
+	if slot := s.cache.Find(r.Page); slot >= 0 {
+		s.cache.Touch(slot)
 		service *= s.run.cfg.ServerHitFactor
 		if first {
 			s.cacheHits++
-			warm := s.warmPages[r.Page]
+			warm := s.cache.Flags(slot)&cache.Warm != 0
 			if warm {
 				s.warmHits++
 			}
@@ -238,8 +231,8 @@ func (s *server) done(r *schedsrv.Request, service, waited float64) {
 		ev.Waited = waited
 		s.tr.Emit(ev)
 	}
-	if s.cache != nil {
-		s.insertCache(req.page, req.duration)
+	if s.cache.Cap() > 0 {
+		s.insertCache(req.page)
 	}
 	s.run.lastT = now
 	req.client.onTransferDone(*req, waited)
@@ -289,7 +282,6 @@ func (s *server) enableWarming() {
 	}
 	s.warmEvery = mean
 	s.warmedAt = math.Inf(-1)
-	s.warmPages = map[int]bool{}
 }
 
 // maybeWarm runs one warm pass if warming is armed, the server is up and
@@ -299,29 +291,22 @@ func (s *server) enableWarming() {
 // warming converges on the hot set instead of thrashing against
 // demand-warmed entries.
 func (s *server) maybeWarm(now float64) {
-	if s.warmPages == nil || !s.up || now < s.warmedAt+s.warmEvery {
+	if s.warmEvery == 0 || !s.up || now < s.warmedAt+s.warmEvery {
 		return
 	}
 	s.warmedAt = now
-	for _, page := range s.agg.TopPages(s.cache.Capacity()) {
+	for _, page := range s.agg.TopPages(s.cache.Cap()) {
 		if s.cache.Contains(page) {
 			continue
 		}
-		if s.cache.Free() == 0 {
-			victim, ok := s.cache.Victim(cache.LRU{})
-			if !ok || s.agg.Freq(victim) >= s.agg.Freq(page) {
+		if s.cache.Len() == s.cache.Cap() {
+			if victim, _ := s.cache.Victim(); s.agg.Freq(victim) >= s.agg.Freq(page) {
 				continue
 			}
-			if err := s.cache.Evict(victim); err != nil {
-				panic(err)
-			}
-			delete(s.warmPages, victim)
+		}
+		if victim, evicted := s.cache.Insert(page, cache.Warm); evicted {
 			s.emitCache(obs.KindCacheEvict, victim)
 		}
-		if err := s.cache.Insert(page, s.run.site.Pages[page].Retrieval); err != nil {
-			panic(err)
-		}
-		s.warmPages[page] = true
 		s.warmInserted++
 		s.emitCache(obs.KindWarmInsert, page)
 	}
@@ -338,41 +323,17 @@ func (s *server) emitCache(kind obs.Kind, page int) {
 	s.tr.Emit(ev)
 }
 
-// insertCache caches a demand- or speculation-carried page at the server,
-// keeping the warm-attribution set consistent across LRU evictions
-// (deleting from a nil warmPages map is a safe no-op when warming is off).
-func (s *server) insertCache(page int, retrieval float64) {
+// insertCache caches a demand- or speculation-carried page at the
+// server, evicting the least recently used page when the cache is full.
+// A no-op if the page is already cached.
+func (s *server) insertCache(page int) {
 	if s.cache.Contains(page) {
 		return
 	}
-	if victim, evicted := insertLRU(s.cache, page, retrieval); evicted {
-		delete(s.warmPages, victim)
+	if victim, evicted := s.cache.Insert(page, 0); evicted {
 		s.emitCache(obs.KindCacheEvict, victim)
 	}
 	s.emitCache(obs.KindCacheInsert, page)
-}
-
-// insertLRU caches an item, evicting the least recently used entry when
-// the cache is full and reporting the victim so callers can keep
-// attribution state consistent. A no-op if the item is already cached.
-// Eviction and insert cannot fail on a well-formed cache, so errors are
-// simulator bugs.
-func insertLRU(c *cache.Cache, id int, retrieval float64) (victim int, evicted bool) {
-	if c.Contains(id) {
-		return 0, false
-	}
-	if c.Free() == 0 {
-		if v, ok := c.Victim(cache.LRU{}); ok {
-			if err := c.Evict(v); err != nil {
-				panic(err)
-			}
-			victim, evicted = v, true
-		}
-	}
-	if err := c.Insert(id, retrieval); err != nil {
-		panic(err)
-	}
-	return victim, evicted
 }
 
 // foldSched folds the current scheduler's counters into the
@@ -413,13 +374,10 @@ func (s *server) fail() {
 	s.lost += int64(lostNow)
 	r.lastT = now
 
-	// Everything the cache held dies with the machine; warming restarts
-	// from the (surviving) aggregate after recovery.
-	s.cache = nil
-	if s.warmPages != nil {
-		s.warmPages = map[int]bool{}
-		s.warmedAt = math.Inf(-1)
-	}
+	// Everything the cache held dies with the machine; warming (if on)
+	// restarts from the (surviving) aggregate after recovery.
+	s.cache = cache.LRUSet{}
+	s.warmedAt = math.Inf(-1)
 
 	outstanding := make([]request, 0, lostNow)
 	for _, req := range s.ledger {

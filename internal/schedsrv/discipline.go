@@ -3,42 +3,56 @@ package schedsrv
 // fifo is the seed server's behaviour, extracted: one queue, strict
 // arrival order, demand and speculative traffic indistinguishable.
 //
-// index accelerates Promote from a backlog scan to a map lookup: clients
-// hold at most one outstanding transfer per page, so (client, page)
-// identifies the queued speculative request uniquely. The index is pure
-// acceleration — it only ever locates the same request the scan would —
-// and if a duplicate key is ever pushed (an invariant no current caller
-// violates), the fifo permanently falls back to the scan rather than
-// risk promoting the wrong instance.
+// chains makes Promote independent of the backlog's length: each
+// client's queued speculative requests form an intrusive list in arrival
+// order (Request.prev/next), indexed by the dense Request.Client. Push
+// appends to the client's tail and Pop or Promote unlinks in O(1).
+// Promote walks the client's chain from its oldest entry, so it marks
+// exactly the request a scan of the queue would find first.
 type fifo struct {
-	queue []*Request
-	index map[uint64]*Request // queued speculative requests by (client, page)
-	scan  bool                // duplicate key seen: index abandoned, scan instead
+	queue  []*Request
+	chains []chain // queued speculative requests per client
 }
+
+// chain bounds one client's promote chain, oldest first.
+type chain struct{ head, tail *Request }
 
 func newFIFO() *fifo { return &fifo{} }
 
 func (f *fifo) Name() string { return string(KindFIFO) }
 
-// promoteKey packs (client, page) into the index key.
-func promoteKey(client, page int) uint64 {
-	return uint64(uint32(client))<<32 | uint64(uint32(page))
-}
-
 func (f *fifo) Push(r *Request) {
 	f.queue = append(f.queue, r)
-	if r.Demand || f.scan {
+	if r.Demand {
 		return
 	}
-	k := promoteKey(r.Client, r.Page)
-	if f.index == nil {
-		f.index = map[uint64]*Request{}
-	} else if _, dup := f.index[k]; dup {
-		f.scan = true
-		f.index = nil // stale acceleration state must not outlive the fallback
-		return
+	if r.Client >= len(f.chains) {
+		f.chains = append(f.chains, make([]chain, r.Client+1-len(f.chains))...)
 	}
-	f.index[k] = r
+	ch := &f.chains[r.Client]
+	r.prev, r.next = ch.tail, nil
+	if ch.tail != nil {
+		ch.tail.next = r
+	} else {
+		ch.head = r
+	}
+	ch.tail = r
+}
+
+// unchain removes a queued speculative request from its client's chain.
+func (f *fifo) unchain(r *Request) {
+	ch := &f.chains[r.Client]
+	if r.prev != nil {
+		r.prev.next = r.next
+	} else {
+		ch.head = r.next
+	}
+	if r.next != nil {
+		r.next.prev = r.prev
+	} else {
+		ch.tail = r.prev
+	}
+	r.prev, r.next = nil, nil
 }
 
 func (f *fifo) Pop(now float64) (*Request, bool) {
@@ -48,8 +62,8 @@ func (f *fifo) Pop(now float64) (*Request, bool) {
 	r := f.queue[0]
 	f.queue[0] = nil
 	f.queue = f.queue[1:]
-	if !r.Demand && !f.scan {
-		delete(f.index, promoteKey(r.Client, r.Page))
+	if !r.Demand {
+		f.unchain(r)
 	}
 	return r, true
 }
@@ -65,17 +79,13 @@ func (f *fifo) ReadyAt(now float64) (float64, bool) {
 // for accounting, but deliberately does not reorder: FIFO serves arrival
 // order, which keeps the extracted discipline identical to the seed.
 func (f *fifo) Promote(client, page int) bool {
-	if !f.scan {
-		if r, ok := f.index[promoteKey(client, page)]; ok {
-			r.Demand = true
-			delete(f.index, promoteKey(client, page))
-			return true
-		}
+	if uint(client) >= uint(len(f.chains)) {
 		return false
 	}
-	for _, r := range f.queue {
-		if !r.Demand && r.Client == client && r.Page == page {
+	for r := f.chains[client].head; r != nil; r = r.next {
+		if r.Page == page {
 			r.Demand = true
+			f.unchain(r)
 			return true
 		}
 	}

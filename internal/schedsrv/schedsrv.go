@@ -144,7 +144,9 @@ type Clock interface {
 
 // Request is one transfer submitted to the scheduler.
 type Request struct {
-	Client  int     // submitting client, a small dense id
+	// Client is the submitting client, a small dense id (>= 0). It indexes
+	// the FIFO discipline's per-client promote chain.
+	Client  int
 	Page    int     // page being transferred (promotion key)
 	Service float64 // origin service-time demand (> 0)
 	Demand  bool    // demand fetch (true) or speculative prefetch (false)
@@ -159,6 +161,8 @@ type Request struct {
 
 	seq     int64 // arrival sequence; the universal deterministic tie-break
 	attempt int   // service starts so far; > 1 only after preemption
+
+	prev, next *Request // neighbours in the FIFO's promote chain while queued speculative
 }
 
 // Attempt returns the 1-based service attempt, valid inside the
@@ -350,6 +354,9 @@ func (s *Scheduler) Submit(r Request) bool {
 	}
 	if r.Service <= 0 {
 		panic(fmt.Sprintf("schedsrv: request for page %d with service %v", r.Page, r.Service))
+	}
+	if r.Client < 0 {
+		panic(fmt.Sprintf("schedsrv: request for page %d from client %d (need >= 0)", r.Page, r.Client))
 	}
 	req := s.reqPool.Get()
 	*req = r

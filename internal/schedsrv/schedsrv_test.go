@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"prefetch/internal/netsim"
@@ -591,6 +592,68 @@ func TestPromoteQueued(t *testing.T) {
 	if len(order) != 4 || order[1] != 4 {
 		t.Errorf("completion order %v, want page 4 promoted to second", order)
 	}
+}
+
+// TestFIFOPromoteDuplicateMarksOlder: when two speculative requests for
+// the same (client, page) sit in the FIFO queue, Promote marks the older
+// one, then the younger, and FIFO serves both in arrival order.
+func TestFIFOPromoteDuplicateMarksOlder(t *testing.T) {
+	f := newFIFO()
+	older := &Request{Client: 3, Page: 7, Service: 1}
+	other := &Request{Client: 3, Page: 8, Service: 1}
+	younger := &Request{Client: 3, Page: 7, Service: 1}
+	for _, r := range []*Request{older, other, younger} {
+		f.Push(r)
+	}
+	if !f.Promote(3, 7) {
+		t.Fatal("Promote found nothing")
+	}
+	if !older.Demand || younger.Demand {
+		t.Fatalf("after one Promote: older demand %v, younger demand %v; want true, false", older.Demand, younger.Demand)
+	}
+	if !f.Promote(3, 7) || !younger.Demand {
+		t.Fatal("second Promote did not mark the younger request")
+	}
+	if f.Promote(3, 7) {
+		t.Error("third Promote found a request; both are demand class already")
+	}
+	if other.Demand {
+		t.Error("Promote marked a request for another page")
+	}
+	for i, want := range []*Request{older, other, younger} {
+		if got, ok := f.Pop(0); !ok || got != want {
+			t.Fatalf("pop %d returned page %d, want arrival order", i, got.Page)
+		}
+	}
+
+	// A duplicate left behind after its twin was served is still found.
+	older.Demand, younger.Demand = false, false
+	f = newFIFO()
+	f.Push(older)
+	f.Push(younger)
+	if got, _ := f.Pop(0); got != older {
+		t.Fatal("pop did not return the older request first")
+	}
+	if !f.Promote(3, 7) || !younger.Demand {
+		t.Error("Promote did not find the younger request after the older was served")
+	}
+}
+
+// TestSubmitRejectsNegativeClient: Request.Client indexes the FIFO's
+// promote chain, so Submit panics on a negative client and names it.
+func TestSubmitRejectsNegativeClient(t *testing.T) {
+	var clock netsim.Clock
+	s, err := New(&clock, Config{Concurrency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "client -2") {
+			t.Errorf("Submit with client -2 panicked with %q, want a message naming client -2", msg)
+		}
+	}()
+	s.Submit(Request{Client: -2, Page: 4, Service: 1})
 }
 
 // TestShapedRateBoundLongTransfers: transfers longer than the bucket
